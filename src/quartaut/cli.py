@@ -6,7 +6,12 @@ deterministic; the trailing timestamp and timing fields are omitted with
 --no-timestamp so identical inputs give byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid or out-of-scope
-input, 3 search exhausted.
+input, 3 search exhausted. A ValueError or RuntimeError from a math layer
+becomes a report whose results name the error and the raising layer, with
+exit 2 or 3 respectively.
+
+Each command imports only the layers it uses, so a call pays for compiling
+those alone.
 """
 from __future__ import annotations
 
@@ -14,10 +19,6 @@ import argparse
 import json
 import sys
 import time
-from datetime import datetime, timezone
-
-from . import exclusion, isometry, links, pell, verify
-from . import surface as surf
 
 _AUT_ASSUMPTION = "Aut-general surface assumed"
 
@@ -37,6 +38,8 @@ def _report(command: str, inputs: dict, results: dict, assumptions: list[str],
         "paper_refs": refs,
     }
     if stamp:
+        from datetime import datetime, timezone
+
         rep["timestamp"] = datetime.now(timezone.utc).isoformat()
     return rep
 
@@ -89,47 +92,38 @@ def _resolve_model(args):
     """(lattice, inputs, error_results) from --r or --b/--c; the lattice is
     None when the inputs name no admissible model, with the reason (and the
     small-discriminant witness when one exists) in error_results."""
+    from . import surface as surf
+
     inputs = _model_inputs(args)
     b, c = getattr(args, "b", None), getattr(args, "c", None)
     if (b is None) != (c is None):
         return None, inputs, {"error": "--b and --c must be given together"}
-    if b is not None:
-        r = b * b - 8 * c
-        if r <= 0:
-            return None, inputs, {"error": f"discriminant {r} is not positive"}
-        if r in (1, 4, 8):
-            E, (sq, deg) = surf.forbidden_small_disc(b, c)
-            return None, inputs, {
-                "error": f"discriminant {r} is incompatible with a very ample "
-                         "degree-4 class",
-                "witness": {"class": list(E), "pairing": [sq, deg]},
-            }
-        return surf.QuarticLattice(b, c), inputs, None
-    if args.r is None:
-        return None, inputs, {"error": "give --r or both --b and --c"}
-    r = args.r
-    if r in (1, 4, 8):
-        bb, cc = surf.canonical_bc(r)
-        E, (sq, deg) = surf.forbidden_small_disc(bb, cc)
+    if b is None:
+        if args.r is None:
+            return None, inputs, {"error": "give --r or both --b and --c"}
+        if args.r in surf.CURVE_MODELS:
+            return surf.curve_model(args.r)[0], inputs, None
+        try:
+            b, c = surf.canonical_bc(args.r)
+        except ValueError as e:
+            return None, inputs, {"error": str(e)}
+    r = b * b - 8 * c
+    if r <= 0:
+        return None, inputs, {"error": f"discriminant {r} is not positive"}
+    if r in surf.FORBIDDEN_DISCS:
+        E, (sq, deg) = surf.forbidden_small_disc(b, c)
         return None, inputs, {
             "error": f"discriminant {r} is incompatible with a very ample "
                      "degree-4 class",
             "witness": {"class": list(E), "pairing": [sq, deg]},
         }
-    if r in surf.CURVE_MODELS:
-        return surf.curve_model(r)[0], inputs, None
-    try:
-        bb, cc = surf.canonical_bc(r)
-    except ValueError as e:
-        return None, inputs, {"error": str(e)}
-    return surf.QuarticLattice(bb, cc), inputs, None
-
-
-def _admissible(r: int) -> bool:
-    return r in verify.ADMISSIBLE
+    return surf.QuarticLattice(b, c), inputs, None
 
 
 def cmd_classify(args) -> tuple[dict, int]:
+    from . import exclusion
+    from . import surface as surf
+
     L, inputs, err = _resolve_model(args)
     refs = ["builtin:partition-table", "builtin:generator-table"]
     if L is None:
@@ -156,7 +150,7 @@ def cmd_classify(args) -> tuple[dict, int]:
     else:
         results["curve"] = None
     code = EXIT_OK
-    if not _admissible(L.r):
+    if L.r not in exclusion.admissible_discriminants().admissible:
         results["caveat"] = (
             f"discriminant {L.r} is not realized by any rank-2 quartic in the "
             "classification (admissible range: 8 < r <= 57 dividing a curve "
@@ -168,6 +162,8 @@ def cmd_classify(args) -> tuple[dict, int]:
 
 
 def cmd_pell(args) -> tuple[dict, int]:
+    from . import pell
+
     inputs = _model_inputs(args)
     inputs["n"] = args.n
     if args.bound is not None:
@@ -204,6 +200,8 @@ def cmd_pell(args) -> tuple[dict, int]:
 
 
 def cmd_curve_class(args) -> tuple[dict, int]:
+    from . import surface as surf
+
     L, inputs, err = _resolve_model(args)
     inputs["genus"], inputs["degree"] = args.genus, args.degree
     refs = ["builtin:curve-models"]
@@ -232,7 +230,9 @@ def cmd_curve_class(args) -> tuple[dict, int]:
     return rep, EXIT_OK
 
 
-def _row_payload(rec: links.LinkRecord) -> dict:
+def _row_payload(rec) -> dict:
+    from . import links
+
     return {
         "gd": list(rec.gd),
         "target": rec.target,
@@ -243,6 +243,8 @@ def _row_payload(rec: links.LinkRecord) -> dict:
 
 
 def cmd_link(args) -> tuple[dict, int]:
+    from . import links
+
     inputs = {}
     refs = ["builtin:link-catalog"]
     if (args.genus is None) != (args.degree is None):
@@ -265,6 +267,9 @@ def cmd_link(args) -> tuple[dict, int]:
 
 
 def cmd_realize(args) -> tuple[dict, int]:
+    from . import links
+    from . import surface as surf
+
     L, inputs, err = _resolve_model(args)
     refs = ["builtin:link-catalog", "builtin:generator-table"]
     if L is None:
@@ -297,6 +302,8 @@ def cmd_realize(args) -> tuple[dict, int]:
 
 
 def cmd_exclusion(args) -> tuple[dict, int]:
+    from . import exclusion
+
     t0 = time.monotonic()
     report = exclusion.admissible_discriminants()
     dt = time.monotonic() - t0
@@ -310,6 +317,8 @@ def cmd_exclusion(args) -> tuple[dict, int]:
 
 
 def cmd_antiflip(args) -> tuple[dict, int]:
+    from . import exclusion
+
     t0 = time.monotonic()
     report = exclusion.antiflip_report()
     dt = time.monotonic() - t0
@@ -334,6 +343,8 @@ def cmd_antiflip(args) -> tuple[dict, int]:
 
 
 def cmd_verify_paper(args) -> tuple[dict, int]:
+    from . import verify
+
     t0 = time.monotonic()
     summary = verify.run_all()
     dt = time.monotonic() - t0
@@ -423,9 +434,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _failure(args, err: Exception) -> tuple[dict, int]:
+    """Report for an exception a layer raised: its message (which names the
+    bound that stopped it) and the module.function that raised it."""
+    tb = err.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    frame = tb.tb_frame
+    layer = f"{frame.f_globals['__name__'].rpartition('.')[2]}.{frame.f_code.co_name}"
+    inputs = {k: v for k, v in vars(args).items()
+              if k not in ("command", "fn", "json", "stamp") and v is not None}
+    rep = _report(args.command, inputs, {"error": str(err), "layer": layer}, [], [],
+                  args.stamp)
+    return rep, EXIT_BAD_INPUT if isinstance(err, ValueError) else EXIT_SEARCH_EXHAUSTED
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    rep, code = args.fn(args)
+    try:
+        rep, code = args.fn(args)
+    except (ValueError, RuntimeError) as err:
+        rep, code = _failure(args, err)
     if args.json:
         print(json.dumps(rep, indent=2))
     elif rep["command"] == "verify-paper":

@@ -15,8 +15,8 @@ counts) are assumed throughout, not checked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 CURVE_PAIRS = (
     (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
@@ -43,25 +43,26 @@ _CONFIG_CAP = 233
 _FORBIDDEN_DISCS = frozenset({1, 4, 8})
 
 
-@dataclass(frozen=True)
-class CurveList:
-    pairs: tuple[tuple[int, int], ...]
-    model_pairs: frozenset[tuple[int, int]]
+class CurveList(NamedTuple("CurveList", [
+    ("pairs", tuple[tuple[int, int], ...]), ("model_pairs", frozenset[tuple[int, int]]),
+])):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, pairs: tuple[tuple[int, int], ...],
+                model_pairs: frozenset[tuple[int, int]]) -> CurveList:
         from .surface import realizable_gd
 
-        if len(self.pairs) != 34:
+        if len(pairs) != 34:
             raise ValueError("expected the 34 classified (g, d) pairs")
-        for g, d in self.pairs:
+        for g, d in pairs:
             if d > 11 or not realizable_gd(g, d):
                 raise ValueError(f"pair {(g, d)} is outside the classification")
-        if not self.model_pairs <= set(self.pairs):
+        if not model_pairs <= set(pairs):
             raise ValueError("model pairs must be classified pairs")
+        return super().__new__(cls, pairs, model_pairs)
 
 
-@dataclass(frozen=True)
-class ExclusionReport:
+class ExclusionReport(NamedTuple):
     rprimes: tuple[int, ...]
     admissible: frozenset[int]
     excluded_leq57: frozenset[int]
@@ -76,8 +77,7 @@ class ExclusionReport:
         }
 
 
-@dataclass(frozen=True)
-class AntiflipSolution:
+class AntiflipSolution(NamedTuple):
     """One solved configuration: the class alpha*H + beta*W on the lattice
     (b, c), glued to the curve frame by C = delta*H + gamma*W."""
 
@@ -101,8 +101,7 @@ class AntiflipSolution:
         return (num // self.gamma, self.beta // self.gamma)
 
 
-@dataclass(frozen=True)
-class AntiflipReport:
+class AntiflipReport(NamedTuple):
     solvable: frozenset[tuple[int, int]]
     configurations: int
     witnesses: tuple[AntiflipSolution, ...]

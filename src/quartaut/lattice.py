@@ -7,7 +7,6 @@ are plain tuples; the lattice is passed explicitly to every operation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 Vec = tuple[int, int]
@@ -16,19 +15,17 @@ Mat = tuple[Vec, Vec]
 IDENTITY: Mat = ((1, 0), (0, 1))
 
 
-@dataclass(frozen=True)
-class GramLattice:
+class GramLattice(NamedTuple("GramLattice", [("q11", int), ("q12", int), ("q22", int)])):
     """Rank-2 even lattice with Gram matrix ((q11, q12), (q12, q22))."""
 
-    q11: int
-    q12: int
-    q22: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.q11 % 2 or self.q22 % 2:
+    def __new__(cls, q11: int, q12: int, q22: int) -> GramLattice:
+        if q11 % 2 or q22 % 2:
             raise ValueError("not an even lattice: diagonal entries must be even")
-        if self.det() == 0:
+        if q11 * q22 - q12 * q12 == 0:
             raise ValueError("degenerate Gram matrix")
+        return super().__new__(cls, q11, q12, q22)
 
     def det(self) -> int:
         return self.q11 * self.q22 - self.q12 * self.q12

@@ -12,7 +12,7 @@ length at most two whose composite equals a given generator matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import surface as surf
 from .lattice import IDENTITY, Mat, Vec, mat_det, mat_inv_unimodular, mat_mul
@@ -21,36 +21,32 @@ _AMBIENT_SQUARE = {"P3": 4, "X5": 10}
 _MAX_BASE_CHANGE = 8
 
 
-@dataclass(frozen=True)
-class LinkRecord:
+class LinkRecord(NamedTuple("LinkRecord", [
+    ("gd", tuple[int, int]), ("target", str), ("gd_plus", tuple[int, int]),
+    ("a", int), ("b", int), ("c", int), ("source", str),
+])):
     """One catalog row: blow up a (g, d)-curve, land in `target` where the
     flopped curve has data gd_plus; (a, b, c) define the frame matrix."""
 
-    gd: tuple[int, int]
-    target: str
-    gd_plus: tuple[int, int]
-    a: int
-    b: int
-    c: int
-    source: str = "P3"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.target not in _AMBIENT_SQUARE or self.source not in _AMBIENT_SQUARE:
+    def __new__(cls, gd: tuple[int, int], target: str, gd_plus: tuple[int, int],
+                a: int, b: int, c: int, source: str = "P3") -> LinkRecord:
+        if target not in _AMBIENT_SQUARE or source not in _AMBIENT_SQUARE:
             raise ValueError("link endpoints must be P3 or X5")
-        if min(self.a, self.b, self.c) < 1:
+        if min(a, b, c) < 1:
             raise ValueError("link data a, b, c must be positive")
-        if (self.a * self.c - 1) % self.b:
+        if (a * c - 1) % b:
             raise ValueError("b must divide a*c - 1 for an integral matrix")
+        return super().__new__(cls, gd, target, gd_plus, a, b, c, source)
 
 
-@dataclass(frozen=True)
-class LinkStep:
+class LinkStep(NamedTuple):
     record: LinkRecord
     change: Mat
 
 
-@dataclass(frozen=True)
-class LinkWord:
+class LinkWord(NamedTuple):
     steps: tuple[LinkStep, ...]
 
 

@@ -17,8 +17,8 @@ ample degree-4 polarization tolerates (forbidden_small_disc exhibits it).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt
+from typing import NamedTuple
 
 from . import pell
 from .lattice import (
@@ -32,7 +32,8 @@ from .lattice import (
 
 H: Vec = (1, 0)
 
-_FORBIDDEN_DISCS = frozenset({1, 4, 8})
+# discriminants excluded by forbidden_small_disc
+FORBIDDEN_DISCS = frozenset({1, 4, 8})
 
 AUT_TAGS = ("Trivial", "Z2", "Z2starZ2", "Z")
 
@@ -70,22 +71,21 @@ CURVE_MODELS: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {
 }
 
 
-@dataclass(frozen=True)
-class QuarticLattice:
+class QuarticLattice(NamedTuple("QuarticLattice", [("b", int), ("c", int)])):
     """Picard lattice ZH + ZW with H^2 = 4, H.W = b, W^2 = 2c."""
 
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        r = self.b * self.b - 8 * self.c
+    def __new__(cls, b: int, c: int) -> "QuarticLattice":
+        r = b * b - 8 * c
         if r <= 0:
             raise ValueError("discriminant must be positive (hyperbolic signature)")
-        if r in _FORBIDDEN_DISCS:
+        if r in FORBIDDEN_DISCS:
             raise ValueError(
                 "discriminant %d carries a class incompatible with a very ample "
                 "degree-4 polarization; see forbidden_small_disc" % r
             )
+        return super().__new__(cls, b, c)
 
     @classmethod
     def from_disc(cls, r: int) -> "QuarticLattice":
@@ -112,22 +112,20 @@ def curve_model(r: int) -> tuple[QuarticLattice, tuple[int, int]]:
     return QuarticLattice(b, c), gd
 
 
-@dataclass(frozen=True)
-class AutKind:
+class AutKind(NamedTuple("AutKind", [("tag", str), ("generators", tuple[Mat, ...])])):
     """Result of classify_aut: a tag and matching generator matrices."""
 
-    tag: str
-    generators: tuple[Mat, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tag not in AUT_TAGS:
-            raise ValueError("unknown tag %r" % (self.tag,))
-        want = {"Trivial": 0, "Z2": 1, "Z2starZ2": 2, "Z": 1}[self.tag]
-        if len(self.generators) != want:
+    def __new__(cls, tag: str, generators: tuple[Mat, ...] = ()) -> "AutKind":
+        if tag not in AUT_TAGS:
+            raise ValueError("unknown tag %r" % (tag,))
+        want = {"Trivial": 0, "Z2": 1, "Z2starZ2": 2, "Z": 1}[tag]
+        if len(generators) != want:
             raise ValueError(
-                "tag %s needs %d generators, got %d"
-                % (self.tag, want, len(self.generators))
+                "tag %s needs %d generators, got %d" % (tag, want, len(generators))
             )
+        return super().__new__(cls, tag, generators)
 
 
 def genus_degree(L: QuarticLattice, C: Vec) -> tuple[int, int]:
@@ -153,11 +151,12 @@ def realizable_gd(g: int, d: int) -> bool:
     return 8 * g == d * d + 8 or 8 * g < d * d
 
 
-def _congruent_class(L: QuarticLattice, x: int, y: int) -> Vec | None:
-    """Map a Pell solution to a class when the mod-4 congruence holds."""
-    if (x - L.b * y) % 4:
+def _congruent_class(b: int, x: int, y: int) -> Vec | None:
+    """Map a Pell solution to a class of the lattice with H.W = b when the
+    mod-4 congruence holds."""
+    if (x - b * y) % 4:
         return None
-    return ((x - L.b * y) // 4, y)
+    return ((x - b * y) // 4, y)
 
 
 def _normalize_effective(L: QuarticLattice, D: Vec) -> Vec:
@@ -188,14 +187,14 @@ def class_with_square_exists(L: QuarticLattice, k: int, nonzero: bool = False) -
         t = isqrt(r)
         for y in range(1, 5):
             for x in (t * y, -t * y):
-                D = _congruent_class(L, x, y)
+                D = _congruent_class(L.b, x, y)
                 if D is not None:
                     return D
         return None
     reps = pell.solution_class_reps(r, 4 * k)
     for x, y in reps:
         for sx, sy in ((x, y), (-x, -y), (x, -y), (-x, y)):
-            D = _congruent_class(L, sx, sy)
+            D = _congruent_class(L.b, sx, sy)
             if D is not None:
                 return D
     return None
@@ -237,7 +236,7 @@ def forbidden_small_disc(b: int, c: int) -> tuple[Vec, tuple[int, int]]:
     profile (E^2, H.E), one of (0,1), (0,2), (-2,0). Any of those profiles
     contradicts very ampleness of a degree-4 polarization."""
     r = b * b - 8 * c
-    if r not in _FORBIDDEN_DISCS:
+    if r not in FORBIDDEN_DISCS:
         raise ValueError("only discriminants 1, 4, 8 are excluded this way")
     L_base = GramLattice(4, b, 2 * c)
     for sq, deg in ((0, 1), (0, 2), (-2, 0)):
@@ -252,7 +251,7 @@ def forbidden_small_disc(b: int, c: int) -> tuple[Vec, tuple[int, int]]:
         if y * y != y2:
             continue
         for sy in ((y, -y) if y else (0,)):
-            E = _congruent_class_checked(L_base, b, deg, sy)
+            E = _congruent_class(b, deg, sy)
             if E is None:
                 continue
             d0 = pairing(L_base, H, E)
@@ -260,12 +259,6 @@ def forbidden_small_disc(b: int, c: int) -> tuple[Vec, tuple[int, int]]:
                 E = (-E[0], -E[1])
             return E, (sq, deg)
     raise RuntimeError("no witness found; unreachable for r in {1, 4, 8}")
-
-
-def _congruent_class_checked(base: GramLattice, b: int, x: int, y: int) -> Vec | None:
-    if (x - b * y) % 4:
-        return None
-    return ((x - b * y) // 4, y)
 
 
 def automorph(L: QuarticLattice) -> Mat:
@@ -282,7 +275,7 @@ def neg2_wall_orbits(L: QuarticLattice) -> list[Vec]:
     if pell.is_square(r):
         walls = []
         for x, y in pell.solution_class_reps(r, -8):
-            D = _congruent_class(L, x, y)
+            D = _congruent_class(L.b, x, y)
             if D is None:
                 continue
             D = _normalize_effective(L, D)
@@ -291,7 +284,7 @@ def neg2_wall_orbits(L: QuarticLattice) -> list[Vec]:
         return walls
     out = []
     for x, y in pell.solution_class_reps(r, -8):
-        D = _congruent_class(L, x, y)
+        D = _congruent_class(L.b, x, y)
         if D is not None:
             out.append(D)
     return out
@@ -409,7 +402,7 @@ def ample_square2_axes(L: QuarticLattice) -> list[Vec]:
     if neg2_wall_orbits(L):
         axes: list[Vec] = []
         for x, y in congruent_reps:
-            D = _congruent_class(L, x, y)
+            D = _congruent_class(L.b, x, y)
             assert D is not None
             A = _ample_representative(L, D)
             if A not in axes:
@@ -428,7 +421,7 @@ def ample_square2_axes(L: QuarticLattice) -> list[Vec]:
     def offer(v: Vec):
         n = v if v[0] > 0 else (-v[0], -v[1])
         side = 1 if n[1] > 0 else -1
-        D = _congruent_class(L, n[0], n[1])
+        D = _congruent_class(L.b, n[0], n[1])
         assert D is not None, "congruence must hold along the whole orbit"
         cand = (n[0], D)
         if side not in best or cand < best[side]:

@@ -12,7 +12,7 @@ surfaces its first counterexample directly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import exclusion, isometry, links, pell
 from . import surface as surf
@@ -61,8 +61,7 @@ RPRIME_TABLE = (
 ADMISSIBLE = (9, 12, 16, 17, 20, 24, 25, 28, 32, 33, 36, 40, 41, 44, 48, 49, 56, 57)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from quartaut import links
+from quartaut import links, pell
 from quartaut.cli import main
 
 
@@ -186,6 +186,25 @@ def test_verify_paper_catches_tampered_catalog(capsys, monkeypatch):
     assert "[FAIL]" in out
     assert "form (4, 8)" in out
     assert "first counterexample" in out
+
+
+def test_search_bound_becomes_a_report_with_exit_3(capsys):
+    code, rep = run_json(capsys, "classify", "--r", "265", "--no-timestamp")
+    assert code == 3
+    assert rep["inputs"] == {"r": 265}
+    assert rep["results"]["layer"] == "isometry.minimal_quadeq_solution"
+    assert "1000000" in rep["results"]["error"]
+
+
+def test_layer_value_error_becomes_a_report_with_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(pell, "solve", lambda r, n: pell.is_square(-r))
+    code, rep = run_json(capsys, "pell", "--r", "17", "--n", "8")
+    assert code == 2
+    assert rep["command"] == "pell"
+    assert rep["inputs"] == {"r": 17, "n": 8}
+    assert rep["results"] == {"error": "is_square expects a nonnegative integer",
+                              "layer": "pell.is_square"}
+    assert "timestamp" in rep
 
 
 def test_reports_are_deterministic(capsys):

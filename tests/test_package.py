@@ -1,0 +1,112 @@
+"""Package surface: lazy exports, per-command imports, record types, demos."""
+import ast
+import contextlib
+import io
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import quartaut
+from quartaut.exclusion import CurveList, ExclusionReport
+from quartaut.lattice import GramLattice
+from quartaut.links import LinkRecord, LinkStep, LinkWord
+from quartaut.surface import AutKind, QuarticLattice
+from quartaut.verify import Check
+
+SRC = Path(quartaut.__file__).resolve().parent.parent
+DEMOS = sorted((SRC.parent / "demos").glob("*.py"))
+
+_LOADED = """
+import sys
+from quartaut.cli import main
+code = main(sys.argv[1:])
+print(code, sorted(m for m in sys.modules if m.split(".")[0] == "quartaut"), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["pell", "--r", "17", "--n", "8"], {"quartaut.pell"}),
+    (["link"], {"quartaut.links", "quartaut.surface", "quartaut.lattice", "quartaut.pell"}),
+    (["exclusion"], {"quartaut.exclusion"}),
+])
+def test_cli_imports_only_the_layers_a_command_uses(argv, modules):
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv, "--json", "--no-timestamp"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    code, loaded = proc.stderr.strip().splitlines()[-1].split(" ", 1)
+    assert code == "0", proc.stderr
+    assert ast.literal_eval(loaded) == sorted({"quartaut", "quartaut.cli"} | modules)
+
+
+def test_every_export_resolves_to_its_layer():
+    for name in quartaut.__all__:
+        module, attr = quartaut._EXPORTS[name]
+        assert getattr(quartaut, name) is getattr(sys.modules["quartaut." + module], attr)
+    assert set(quartaut.__all__) <= set(dir(quartaut))
+    namespace = {}
+    exec("from quartaut import *", namespace)
+    assert set(quartaut.__all__) <= set(namespace)
+
+
+def test_unknown_export_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        quartaut.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from quartaut import no_such_name", {})
+
+
+_REC = LinkRecord((14, 11), "P3", (14, 11), 19, 5, 19)
+
+
+@pytest.mark.parametrize("record, text", [
+    (QuarticLattice(1, -2), "QuarticLattice(b=1, c=-2)"),
+    (GramLattice(4, 1, -4), "GramLattice(q11=4, q12=1, q22=-4)"),
+    (AutKind("Trivial"), "AutKind(tag='Trivial', generators=())"),
+    (_REC, "LinkRecord(gd=(14, 11), target='P3', gd_plus=(14, 11), a=19, b=5, c=19, "
+           "source='P3')"),
+    (LinkWord((LinkStep(_REC, ((1, 0), (0, 1))),)),
+     f"LinkWord(steps=(LinkStep(record={_REC!r}, change=((1, 0), (0, 1))),))"),
+    (ExclusionReport((9,), frozenset({9}), frozenset(), 57),
+     "ExclusionReport(rprimes=(9,), admissible=frozenset({9}), "
+     "excluded_leq57=frozenset(), bound=57)"),
+    (Check("r=17", True), "Check(name='r=17', ok=True, detail='')"),
+])
+def test_records_keep_their_repr_and_stay_immutable(record, text):
+    assert repr(record) == text
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    # records are tuples of their fields: equal to one, and they unpack
+    assert record == tuple(getattr(record, f) for f in record._fields)
+    first, *_ = record
+    assert first == getattr(record, field)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: QuarticLattice(0, 1), "discriminant must be positive"),
+    (lambda: QuarticLattice(b=3, c=1), "discriminant 1 carries a class"),
+    (lambda: GramLattice(3, 0, 2), "not an even lattice"),
+    (lambda: GramLattice(2, 2, 2), "degenerate Gram matrix"),
+    (lambda: AutKind("Z"), "tag Z needs 1 generators, got 0"),
+    (lambda: AutKind("Z3"), "unknown tag 'Z3'"),
+    (lambda: LinkRecord((1, 1), "P4", (1, 1), 1, 1, 1), "link endpoints"),
+    (lambda: LinkRecord((1, 1), "P3", (1, 1), 2, 3, 3), "b must divide a\\*c - 1"),
+    (lambda: CurveList(((0, 1),), frozenset()), "expected the 34"),
+])
+def test_records_validate_on_construction(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        runpy.run_path(str(path), run_name="__main__")
+    assert buf.getvalue().strip()
