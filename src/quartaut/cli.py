@@ -62,10 +62,7 @@ def _render_lines(obj: dict, prefix: str) -> None:
             print(f"{prefix}{k}: {json.dumps(v)}")
 
 
-def _emit(rep: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(rep, indent=2))
-        return
+def _emit(rep: dict) -> None:
     print(f"command: {rep['command']}")
     if rep["inputs"]:
         pairs = " ".join(f"{k}={v}" for k, v in rep["inputs"].items())
@@ -460,7 +457,7 @@ def main(argv=None) -> int:
     elif rep["command"] == "verify-paper":
         _emit_verify_text(rep)
     else:
-        _emit(rep, as_json=False)
+        _emit(rep)
     return code
 
 

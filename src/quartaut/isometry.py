@@ -17,11 +17,10 @@ classify_aut reports.
 from __future__ import annotations
 
 from . import surface as surf
-from .lattice import Mat, Vec, mat_mul, mat_pow, pairing
+from .lattice import Mat, Vec, mat_mul, pairing
 
 _W: Vec = (0, 1)
 
-_H_POWER_CAP = 64
 _QUADEQ_HARD_CAP = 1_000_000
 
 
@@ -168,28 +167,36 @@ def generators_for(L: surf.QuarticLattice, tag: str, axes: list[Vec]) -> list[Ma
                 % (tag, expected, len(axes))
             )
         return [reflection(L, A) for A in axes]
-    # tag == "Z": minimal power of the minimal hyperbolic element that
-    # satisfies both descent criteria
-    alpha, beta = minimal_quadeq_solution(L)
-    h = infinite_order_form(L, alpha, beta)
-    if h is None:
-        raise RuntimeError("minimal conic solution lost integrality; scan bug")
-    for k in range(1, _H_POWER_CAP + 1):
-        hk = mat_pow(h, k)
-        if gluing_ok(L, hk) and torelli_ok(L, hk):
-            return [hk]
-    raise RuntimeError("no power of the minimal isometry glues; cap too low")
+    # tag == "Z"
+    return [_gluing_power(L)[0]]
 
 
 def minimal_gluing_exponent(L: surf.QuarticLattice) -> int:
     """The k for which aut_generators returns h^k in the infinite case."""
+    return _gluing_power(L)[1]
+
+
+def _gluing_power(L: surf.QuarticLattice) -> tuple[Mat, int]:
+    """(h^k, k) for the least k >= 1 at which the minimal hyperbolic element
+    h satisfies both descent criteria.
+
+    gluing_ok(h^k) depends only on h^k mod det Q and holds once h^k ≡ I, so
+    the loop is finite: the first such k bounds it.
+    """
     alpha, beta = minimal_quadeq_solution(L)
     h = infinite_order_form(L, alpha, beta)
-    for k in range(1, _H_POWER_CAP + 1):
-        hk = mat_pow(h, k)
-        if gluing_ok(L, hk) and torelli_ok(L, hk):
-            return k
-    raise RuntimeError("no power of the minimal isometry glues; cap too low")
+    if h is None:
+        raise RuntimeError("minimal conic solution lost integrality; scan bug")
+    det = abs(L.base.det())
+    hk, k = h, 1
+    while not (gluing_ok(L, hk) and torelli_ok(L, hk)):
+        if all(e % det == 0 for e in (hk[0][0] - 1, hk[0][1], hk[1][0], hk[1][1] - 1)):
+            raise RuntimeError(
+                "h^%d is the identity mod |det Q| = %d and still fails descent; "
+                "no power of the minimal isometry qualifies" % (k, det)
+            )
+        hk, k = mat_mul(hk, h), k + 1
+    return hk, k
 
 
 def aut_generators(L: surf.QuarticLattice) -> list[Mat]:

@@ -18,7 +18,6 @@ from . import surface as surf
 from .lattice import IDENTITY, Mat, Vec, mat_det, mat_inv_unimodular, mat_mul
 
 _AMBIENT_SQUARE = {"P3": 4, "X5": 10}
-_MAX_BASE_CHANGE = 8
 
 
 class LinkRecord(NamedTuple("LinkRecord", [
@@ -122,7 +121,7 @@ def _step_candidates(rec: LinkRecord, cur_gd: tuple[int, int], ambient: str) -> 
     num = rec.gd[1] + d0
     if num % h2 == 0:
         lam = num // h2
-        if lam != 0 and abs(lam) <= _MAX_BASE_CHANGE:
+        if lam != 0:
             csq = lam * lam * h2 - 2 * lam * d0 + (2 * g0 - 2)
             if csq == 2 * rec.gd[0] - 2:
                 out.append(base_change(lam))
@@ -147,7 +146,7 @@ def _synthesize_return(rec1: LinkRecord, m1: Mat, target: Mat) -> LinkStep | Non
     cands: list[tuple[Mat, tuple[int, int]]] = [(IDENTITY, (g2, d2))]
     if (2 * d2) % h2 == 0:
         lam = 2 * d2 // h2
-        if lam != 0 and abs(lam) <= _MAX_BASE_CHANGE:
+        if lam != 0:
             cands.append((base_change(lam), (g2, lam * h2 - d2)))
     rest = mat_mul(mat_inv_unimodular(m1), target)
     for B2, gd2 in cands:

@@ -203,31 +203,19 @@ def class_with_square_exists(L: QuarticLattice, k: int, nonzero: bool = False) -
 def find_curve_class(L: QuarticLattice, target: tuple[int, int]) -> Vec | None:
     """A class D with genus_degree(L, D) == target, or None.
 
-    Tries the two closed-form candidates ((b±d)/4, ∓1) first, then a bounded
-    search over |y| <= 16.
+    Exact: (H.D)^2 - H^2 D^2 = r*y^2 fixes y^2 = (d^2 - 8(g - 1))/r, and
+    H.D = d fixes D = ((d - b*y)/4, y). The first of y = -|y|, +|y| meeting
+    the mod-4 congruence is returned.
     """
     g, d = target
-    want_sq = 2 * g - 2
-
-    def check(D: Vec) -> bool:
-        return L.dot(H, D) == d and L.dot(D, D) == want_sq
-
-    b = L.b
-    if (b + d) % 4 == 0:
-        D = ((b + d) // 4, -1)
-        if check(D):
+    y2, rem = divmod(d * d - 8 * (g - 1), L.r)
+    if rem or y2 < 0 or not pell.is_square(y2):
+        return None
+    y = isqrt(y2)
+    for sy in ((-y, y) if y else (0,)):
+        D = _congruent_class(L.b, d, sy)
+        if D is not None:
             return D
-    if (b - d) % 4 == 0:
-        D = ((b - d) // 4, 1)
-        if check(D):
-            return D
-    for ay in range(17):
-        for y in ((0,) if ay == 0 else (-ay, ay)):
-            if (d - b * y) % 4:
-                continue
-            D = ((d - b * y) // 4, y)
-            if check(D):
-                return D
     return None
 
 
@@ -270,24 +258,17 @@ def automorph(L: QuarticLattice) -> Mat:
 
 def neg2_wall_orbits(L: QuarticLattice) -> list[Vec]:
     """Effective-wall generators: one class per automorph-and-sign orbit of
-    classes with square -2 (for square r, the full finite list, one sign)."""
-    r = L.r
-    if pell.is_square(r):
-        walls = []
-        for x, y in pell.solution_class_reps(r, -8):
-            D = _congruent_class(L.b, x, y)
-            if D is None:
-                continue
-            D = _normalize_effective(L, D)
-            if D not in walls:
-                walls.append(D)
-        return walls
-    out = []
-    for x, y in pell.solution_class_reps(r, -8):
+    classes with square -2 (for square r, the full finite list), each with
+    its effective sign."""
+    walls: list[Vec] = []
+    for x, y in pell.solution_class_reps(L.r, -8):
         D = _congruent_class(L.b, x, y)
-        if D is not None:
-            out.append(D)
-    return out
+        if D is None:
+            continue
+        D = _normalize_effective(L, D)
+        if D not in walls:
+            walls.append(D)
+    return walls
 
 
 def _scan_wall_orbit(L: QuarticLattice, A: Vec, gamma: Vec, auts: tuple[Mat, Mat] | None) -> Vec | None:
@@ -393,52 +374,33 @@ def ample_square2_axes(L: QuarticLattice) -> list[Vec]:
     def key(A: Vec):
         return (abs(A[1]), A[1], L.dot(H, A))
 
-    congruent_reps = []
-    for x, y in pell.solution_class_reps(r, 8):
-        if (x - L.b * y) % 4 == 0 or (-x + L.b * y) % 4 == 0:
-            congruent_reps.append((x, y))
-    if not congruent_reps:
+    reps = [D for x, y in pell.solution_class_reps(r, 8)
+            if (D := _congruent_class(L.b, x, y)) is not None]
+    if not reps:
         return []
     if neg2_wall_orbits(L):
         axes: list[Vec] = []
-        for x, y in congruent_reps:
-            D = _congruent_class(L.b, x, y)
-            assert D is not None
+        for D in reps:
             A = _ample_representative(L, D)
             if A not in axes:
                 axes.append(A)
         return sorted(axes, key=key)
-    t, u = pell.fundamental_solution(r)
-
-    def step(v: Vec) -> Vec:
-        return (t * v[0] + r * u * v[1], u * v[0] + t * v[1])
-
-    def back(v: Vec) -> Vec:
-        return (t * v[0] - r * u * v[1], -u * v[0] + t * v[1])
-
+    T = automorph(L)
     best: dict[int, tuple[int, Vec]] = {}
-
-    def offer(v: Vec):
-        n = v if v[0] > 0 else (-v[0], -v[1])
-        side = 1 if n[1] > 0 else -1
-        D = _congruent_class(L.b, n[0], n[1])
-        assert D is not None, "congruence must hold along the whole orbit"
-        cand = (n[0], D)
-        if side not in best or cand < best[side]:
-            best[side] = cand
-    for rep in congruent_reps:
-        offer(rep)
-        for move, stop_side in ((step, 1), (back, -1)):
-            prev, cur = rep, move(rep)
+    for rep in reps:
+        for M, stop_side in ((T, 1), (mat_inv_unimodular(T), -1)):
+            A, prev_d = rep, None
             while True:
-                offer(cur)
-                n = cur if cur[0] > 0 else (-cur[0], -cur[1])
-                side = 1 if n[1] > 0 else -1
-                # |x| is unimodal along the chain and the side flips once,
-                # so past the flip with |x| nondecreasing nothing better comes
-                if side == stop_side and abs(cur[0]) >= abs(prev[0]):
+                A = _normalize_effective(L, A)
+                d, side = L.dot(H, A), (1 if A[1] > 0 else -1)
+                if side not in best or (d, A) < best[side]:
+                    best[side] = (d, A)
+                # the degree is unimodal along the chain and the side flips
+                # once, so past the flip with the degree nondecreasing
+                # nothing better comes
+                if side == stop_side and prev_d is not None and d >= prev_d:
                     break
-                prev, cur = cur, move(cur)
+                A, prev_d = mat_vec(M, A), d
     if len(best) != 2:
         raise RuntimeError("expected minimal ample classes on both sides of H")
     return sorted((d for _, d in best.values()), key=key)

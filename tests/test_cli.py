@@ -90,6 +90,15 @@ def test_curve_class_report(capsys):
     assert rep["results"]["index"] == 1
 
 
+def test_curve_class_is_exact_at_large_index(capsys):
+    code, rep = run_json(capsys, "curve-class", "--b", "1", "--c", "-2", "--genus", "17",
+                         "--degree", "71")
+    assert code == 0
+    assert rep["results"]["exists"] is True
+    assert rep["results"]["class"] == [22, -17]
+    assert rep["results"]["index"] == 17
+
+
 def test_curve_class_rejects_unrealizable_pair(capsys):
     code, rep = run_json(capsys, "curve-class", "--r", "17", "--genus", "3",
                          "--degree", "5")

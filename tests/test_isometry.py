@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quartaut.lattice import IDENTITY, mat_mul, mat_pow, mat_vec
-from quartaut.surface import QuarticLattice, canonical_bc, curve_model
+from quartaut.surface import QuarticLattice, canonical_bc, classify_aut, curve_model
 from quartaut import isometry
 
 L17 = QuarticLattice(11, 13)
@@ -127,6 +127,45 @@ def test_h_powers_below_exponent_fail_descent():
         for j in range(1, k):
             hj = mat_pow(h, j)
             assert not (isometry.gluing_ok(L, hj) and isometry.torelli_ok(L, hj)), (r, j)
+
+
+# Z-tag canonical models beyond the paper's range, 57 < r <= 200, with the
+# least gluing exponent of each
+Z_BEYOND_PAPER = {
+    60: 2, 65: 1, 68: 1, 80: 2, 84: 6, 96: 2, 104: 1, 105: 2, 112: 4, 116: 3, 120: 2,
+    128: 4, 132: 2, 140: 2, 145: 1, 148: 1, 156: 2, 160: 2, 164: 1, 168: 2, 176: 4,
+    180: 6, 185: 1, 192: 2, 200: 1,
+}
+
+
+def test_gluing_power_beyond_paper_range():
+    found = {}
+    for r in range(58, 201):
+        if r % 8 not in (0, 1, 4):
+            continue
+        L = QuarticLattice(*canonical_bc(r))
+        kind = classify_aut(L)
+        if kind.tag != "Z":
+            continue
+        (g,) = kind.generators
+        assert isometry.is_isometry(L, g), r
+        assert isometry.gluing_ok(L, g), r
+        assert isometry.torelli_ok(L, g), r
+        h = isometry.infinite_order_form(L, *isometry.minimal_quadeq_solution(L))
+        k = found[r] = isometry.minimal_gluing_exponent(L)
+        assert g == mat_pow(h, k), r
+        for j in range(1, k):
+            hj = mat_pow(h, j)
+            assert not (isometry.gluing_ok(L, hj) and isometry.torelli_ok(L, hj)), (r, j)
+    assert found == Z_BEYOND_PAPER
+
+
+def test_gluing_power_failure_names_its_bound(monkeypatch):
+    # h^24 is the first power of the r = 48 element that is I mod |det Q| = 48
+    monkeypatch.setattr(isometry, "torelli_ok", lambda L, m: False)
+    L48, _ = curve_model(48)
+    with pytest.raises(RuntimeError, match=r"h\^24 is the identity mod \|det Q\| = 48"):
+        isometry.minimal_gluing_exponent(L48)
 
 
 def test_trivial_case_has_no_generators():

@@ -107,6 +107,28 @@ def test_find_curve_class_examples():
     assert find_curve_class(QuarticLattice(8, 1), (2, 8)) == (4, -1)
     assert find_curve_class(QuarticLattice(4, -4), (3, 8)) == (3, -1)
     assert find_curve_class(QuarticLattice(1, -2), (14, 11)) == (3, -1)
+    # index 17: beyond any small |y| bound
+    assert find_curve_class(QuarticLattice(1, -2), (17, 71)) == (22, -17)
+
+
+def test_find_curve_class_matches_enumeration():
+    """Against a naive enumeration over |y| <= 40, which is exhaustive on
+    this grid: y^2 = (d^2 - 8(g - 1))/r <= (80^2 + 8)/9 < 41^2."""
+    ys = sorted(range(-40, 41), key=lambda y: (abs(y), y))
+    beyond_16 = 0
+    for b, c in ((1, -1), (2, -1), (0, -2), (1, -2), (11, 13), (3, -5), (6, 1), (8, 1)):
+        L = QuarticLattice(b, c)
+        for g in range(25):
+            for d in range(1, 81):
+                naive = None
+                for y in ys:
+                    D = ((d - b * y) // 4, y)
+                    if (d - b * y) % 4 == 0 and L.dot(D, D) == 2 * g - 2:
+                        naive = D
+                        break
+                assert find_curve_class(L, (g, d)) == naive, (b, c, g, d)
+                beyond_16 += naive is not None and abs(naive[1]) > 16
+    assert beyond_16 > 0
 
 
 def test_find_curve_class_pinned_models():
