@@ -115,12 +115,13 @@ def _lmm_reps(D: int, N: int) -> list[Vec]:
 
 
 def _square_solutions(t: int, N: int) -> list[Vec]:
-    """All solutions of x^2 - t^2*y^2 = N for N != 0, via (x-ty)(x+ty) = N."""
-    out = []
+    """All solutions of x^2 - t^2*y^2 = N for N != 0, via (x-ty)(x+ty) = N:
+    d1 = x - ty runs over every divisor of N, ±e and ±N/e for e <= sqrt|N|."""
+    out = set()
     e = 1
     while e * e <= abs(N):
         if N % e == 0:
-            for d1 in (e, -e):
+            for d1 in (e, -e, N // e, -N // e):
                 d2 = N // d1
                 # x = (d1+d2)/2, t*y = (d2-d1)/2
                 if (d1 + d2) % 2:
@@ -129,10 +130,9 @@ def _square_solutions(t: int, N: int) -> list[Vec]:
                 ty = (d2 - d1) // 2
                 if ty % t:
                     continue
-                y = ty // t
-                out.extend({(x, y), (-x, -y)})
+                out.add((x, ty // t))
         e += 1
-    return sorted(set(out))
+    return sorted(out)
 
 
 def solve(r: int, n: int, nonzero_y: bool = False) -> Vec | None:

@@ -7,7 +7,11 @@ r = b^2 - 8c. Everything downstream keys off r:
 * classes D with D^2 = k correspond to solutions of x^2 - r*y^2 = 4k
   satisfying x ≡ b*y (mod 4), via D = ((x - b*y)/4, y) in the (H, W) basis;
 * effective (-2)-classes cut the positive cone into chambers, and the
-  chamber containing H is the ample cone;
+  chamber containing H is the ample cone. In rank 2 the projectivized
+  positive cone is a hyperbolic line, so that chamber is an interval bounded
+  by at most two walls, one on each side of H; the distance from H to the
+  wall of delta grows with H.delta, so on each side the wall of least degree
+  is the nearest one (_chamber_walls);
 * the automorphism group of a general surface with this Picard lattice is
   one of: trivial, Z/2, Z/2 * Z/2 (free product), or Z, decided by which
   class squares occur (classify_aut).
@@ -170,11 +174,12 @@ def _normalize_effective(L: QuarticLattice, D: Vec) -> Vec:
 def class_with_square_exists(L: QuarticLattice, k: int, nonzero: bool = False) -> Vec | None:
     """A class D with D^2 = k, or None.
 
-    Solves x^2 - r*y^2 = 4k and keeps the first solution with x ≡ b*y
-    (mod 4); sign variants of each Pell representative are tried because the
-    congruence is not sign-symmetric. No sign normalization is applied (both
-    signs of a class answer the existence question). The zero class only
-    counts when nonzero is False.
+    Solves x^2 - r*y^2 = 4k and keeps the first representative with
+    x ≡ b*y (mod 4): the representatives cover every automorph-and-sign
+    orbit (for square r, every solution), and the automorph and negation
+    preserve the congruence. No sign normalization is applied (both signs
+    of a class answer the existence question). The zero class only counts
+    when nonzero is False.
     """
     if k % 2:
         raise ValueError("an even lattice has no class of odd square")
@@ -191,12 +196,10 @@ def class_with_square_exists(L: QuarticLattice, k: int, nonzero: bool = False) -
                 if D is not None:
                     return D
         return None
-    reps = pell.solution_class_reps(r, 4 * k)
-    for x, y in reps:
-        for sx, sy in ((x, y), (-x, -y), (x, -y), (-x, y)):
-            D = _congruent_class(L.b, sx, sy)
-            if D is not None:
-                return D
+    for x, y in pell.solution_class_reps(r, 4 * k):
+        D = _congruent_class(L.b, x, y)
+        if D is not None:
+            return D
     return None
 
 
@@ -271,74 +274,66 @@ def neg2_wall_orbits(L: QuarticLattice) -> list[Vec]:
     return walls
 
 
-def _scan_wall_orbit(L: QuarticLattice, A: Vec, gamma: Vec, auts: tuple[Mat, Mat] | None) -> Vec | None:
-    """First wall in the orbit of gamma that A fails to pair positively with,
-    returned with its effective sign; None when the whole orbit is clear.
+def _pell_key(L: QuarticLattice, D: Vec) -> tuple[int, int, int]:
+    """The order in which classes are listed: (|y|, y, D.H)."""
+    return abs(D[1]), D[1], L.dot(H, D)
 
-    Along the orbit, a_j = (T^j gamma).H and p_j = A.(T^j gamma) both satisfy
-    the two-term recurrence x_{j+1} = 2t*x_j - x_{j-1} with 2t >= 4, so once
-    two consecutive terms of each share a sign and grow in magnitude the
-    direction diverges and stays clear; that is the stopping rule.
+
+def _least_degree_each_side(L: QuarticLattice, starts: list[Vec]) -> list[Vec]:
+    """Among the classes of one square k != 0 reached from starts, the class
+    of least degree D.H with y < 0 and the one with y > 0 (each normalized
+    effective), sorted by _pell_key; at most two classes.
+
+    For square r the starts are the whole finite set. For nonsquare r they
+    are one per automorph orbit, and each orbit is walked both ways: along
+    it the normalized y changes sign once, and the degree falls toward that
+    flip and rises after it, so past the flip with the degree nondecreasing
+    nothing smaller comes.
     """
-
-    def verdict(g: Vec) -> tuple[bool, int, int]:
-        a = L.dot(H, g)
-        p = L.dot(A, g)
-        assert a != 0, "a (-2)-class orthogonal to H cannot occur here"
-        s = 1 if a > 0 else -1
-        return s * p <= 0, a, p
-
-    bad, a0, p0 = verdict(gamma)
-    if bad:
-        s = 1 if a0 > 0 else -1
-        return (s * gamma[0], s * gamma[1])
-    if auts is None:
-        return None
-    for M in auts:
-        prev_a, prev_p = a0, p0
-        g = mat_vec(M, gamma)
-        while True:
-            bad, a, p = verdict(g)
-            if bad:
-                s = 1 if a > 0 else -1
-                return (s * g[0], s * g[1])
-            if (
-                a * prev_a > 0
-                and abs(a) >= abs(prev_a)
-                and p * prev_p > 0
-                and abs(p) >= abs(prev_p)
-            ):
-                break
-            prev_a, prev_p = a, p
-            g = mat_vec(M, g)
-    return None
-
-
-def _violating_wall(L: QuarticLattice, A: Vec) -> Vec | None:
-    orbits = neg2_wall_orbits(L)
-    if not orbits:
-        return None
-    auts = None
+    walks: tuple[tuple[Mat, int], ...] = ()
     if not pell.is_square(L.r):
         T = automorph(L)
-        auts = (T, mat_inv_unimodular(T))
-    for gamma in orbits:
-        w = _scan_wall_orbit(L, A, gamma, auts)
-        if w is not None:
-            return w
-    return None
+        walks = ((T, 1), (mat_inv_unimodular(T), -1))
+    best: dict[int, tuple[int, Vec]] = {}
+
+    def keep(D: Vec) -> tuple[int, int]:
+        d, side = L.dot(H, D), (1 if D[1] > 0 else -1)
+        if side not in best or (d, D) < best[side]:
+            best[side] = (d, D)
+        return d, side
+
+    for start in starts:
+        first = _normalize_effective(L, start)
+        first_d, _ = keep(first)
+        for M, stop_side in walks:
+            D, prev_d = first, first_d
+            while True:
+                D = _normalize_effective(L, mat_vec(M, D))
+                d, side = keep(D)
+                if side == stop_side and d >= prev_d:
+                    break
+                prev_d = d
+    return sorted((D for _, D in best.values()), key=lambda D: _pell_key(L, D))
+
+
+def _chamber_walls(L: QuarticLattice) -> list[Vec]:
+    """The effective (-2)-classes whose walls bound the ample chamber: the
+    nearest wall on each side of H, i.e. the least degree on each side."""
+    return _least_degree_each_side(L, neg2_wall_orbits(L))
 
 
 def is_ample(L: QuarticLattice, A: Vec) -> bool:
     """Exact ampleness: A.H > 0, A^2 > 0, and A pairs strictly positively
-    with every effective (-2)-class."""
-    if L.dot(H, A) <= 0 or L.dot(A, A) <= 0:
-        return False
-    return _violating_wall(L, A) is None
+    with every effective (-2)-class, i.e. with both chamber walls."""
+    return (
+        L.dot(H, A) > 0
+        and L.dot(A, A) > 0
+        and all(L.dot(A, w) > 0 for w in _chamber_walls(L))
+    )
 
 
-def _ample_representative(L: QuarticLattice, A: Vec) -> Vec:
-    """Reflect a square-2 class across violated walls until it is ample.
+def _ample_representative(L: QuarticLattice, A: Vec, walls: list[Vec]) -> Vec:
+    """Reflect a square-2 class across violated chamber walls until it is ample.
 
     Each reflection strictly decreases A.H while the Weyl group preserves the
     half-cone of H, so the loop terminates; a square-2 class cannot lie on a
@@ -347,63 +342,38 @@ def _ample_representative(L: QuarticLattice, A: Vec) -> Vec:
     if L.dot(H, A) < 0:
         A = (-A[0], -A[1])
     while True:
-        w = _violating_wall(L, A)
-        if w is None:
+        for w in walls:
+            p = L.dot(A, w)
+            if p <= 0:
+                assert p < 0, "square-2 class on a wall; discriminant should forbid this"
+                A = (A[0] + p * w[0], A[1] + p * w[1])
+                break
+        else:
             return A
-        p = L.dot(A, w)
-        assert p < 0, "square-2 class on a wall; discriminant should forbid this"
-        A = (A[0] + p * w[0], A[1] + p * w[1])
 
 
 def ample_square2_axes(L: QuarticLattice) -> list[Vec]:
-    """The distinguished ample square-2 classes, sorted by the Pell key
-    (|y|, y, A.H). Empty when no congruent square-2 class exists.
+    """The distinguished ample square-2 classes, sorted by _pell_key.
+    Empty when no congruent square-2 class exists.
 
     With effective (-2)-classes present the ample chamber is cut out by
-    walls and contains at most one square-2 class; every congruent Pell
-    orbit reflects into it, so walking any representative finds it. With
-    no walls every positive square-2 class is ample and they form chains
-    on which the degree A.H is unimodal; the generators of the reflection
-    group are the two classes of minimal degree, one on each side of H
-    (y < 0 and y > 0 after normalizing A.H > 0).
+    its two walls and every congruent Pell orbit reflects into it. With no
+    walls every positive square-2 class is ample, and the generators of the
+    reflection group are the two classes of least degree, one on each side
+    of H (y < 0 and y > 0 after normalizing A.H > 0).
     """
     r = L.r
     if pell.is_square(r):
         return []
-
-    def key(A: Vec):
-        return (abs(A[1]), A[1], L.dot(H, A))
-
     reps = [D for x, y in pell.solution_class_reps(r, 8)
             if (D := _congruent_class(L.b, x, y)) is not None]
     if not reps:
         return []
-    if neg2_wall_orbits(L):
-        axes: list[Vec] = []
-        for D in reps:
-            A = _ample_representative(L, D)
-            if A not in axes:
-                axes.append(A)
-        return sorted(axes, key=key)
-    T = automorph(L)
-    best: dict[int, tuple[int, Vec]] = {}
-    for rep in reps:
-        for M, stop_side in ((T, 1), (mat_inv_unimodular(T), -1)):
-            A, prev_d = rep, None
-            while True:
-                A = _normalize_effective(L, A)
-                d, side = L.dot(H, A), (1 if A[1] > 0 else -1)
-                if side not in best or (d, A) < best[side]:
-                    best[side] = (d, A)
-                # the degree is unimodal along the chain and the side flips
-                # once, so past the flip with the degree nondecreasing
-                # nothing better comes
-                if side == stop_side and prev_d is not None and d >= prev_d:
-                    break
-                A, prev_d = mat_vec(M, A), d
-    if len(best) != 2:
-        raise RuntimeError("expected minimal ample classes on both sides of H")
-    return sorted((d for _, d in best.values()), key=key)
+    walls = _chamber_walls(L)
+    if not walls:
+        return _least_degree_each_side(L, reps)
+    axes = {_ample_representative(L, D, walls) for D in reps}
+    return sorted(axes, key=lambda A: _pell_key(L, A))
 
 
 def classify_aut(L: QuarticLattice) -> AutKind:

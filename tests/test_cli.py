@@ -1,7 +1,11 @@
 """End-to-end CLI behaviour: payloads, exit codes, determinism."""
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quartaut import links, pell
 from quartaut.cli import main
@@ -253,3 +257,43 @@ def test_argparse_errors_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["pell", "--r", "17"])  # missing required --n
     assert e.value.code == 2
+
+
+def _model_args(r, b, c):
+    out = []
+    for flag, v in (("--r", r), ("--b", b), ("--c", c)):
+        if v is not None:
+            out += [flag, str(v)]
+    return out
+
+
+def _opt(lo, hi):
+    return st.none() | st.integers(lo, hi)
+
+
+_MODEL = st.builds(_model_args, _opt(-3, 60), _opt(-6, 6), _opt(-6, 3))
+_ARGVS = st.one_of(
+    st.builds(lambda cmd, m: [cmd, *m], st.sampled_from(["classify", "realize"]), _MODEL),
+    st.builds(lambda m, n, bound: ["pell", *m, "--n", str(n)]
+              + ([] if bound is None else ["--bound", str(bound)]),
+              _MODEL, st.integers(-60, 60), _opt(-1, 5)),
+    st.builds(lambda m, g, d: ["curve-class", *m, "--genus", str(g), "--degree", str(d)],
+              _MODEL, st.integers(-1, 20), st.integers(-1, 16)),
+    st.builds(lambda g, d: ["link"]
+              + ([] if g is None else ["--genus", str(g)])
+              + ([] if d is None else ["--degree", str(d)]),
+              _opt(-1, 20), _opt(-1, 16)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGVS, st.booleans())
+def test_fuzzed_argv_gives_a_json_report_and_a_documented_exit(argv, stamp):
+    """Small inputs to every model-taking subcommand, in process: each call
+    prints one JSON report and exits 0, 1, 2 or 3, never a traceback."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([*argv, "--json", *([] if stamp else ["--no-timestamp"])])
+    assert code in (0, 1, 2, 3), argv
+    rep = json.loads(buf.getvalue())
+    assert rep["command"] == argv[0]

@@ -73,6 +73,17 @@ def test_class_reps_solve_and_are_distinct_orbits():
             assert x * x - r * y * y == n
 
 
+def test_square_r_reps_are_every_solution():
+    """For r = t^2 every solution satisfies |y| <= |n|, so the brute-force
+    list with that bound is the whole solution set; (x, -y) included."""
+    assert pell.solution_class_reps(9, -8) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    for t in range(1, 31):
+        for n in range(-300, 301):
+            if n:
+                got = pell.solution_class_reps(t * t, n)
+                assert sorted(got) == sorted(pell.solutions_up_to(t * t, n, abs(n))), (t, n)
+
+
 def _brute(r, n, bound=10_000):
     """First solution with 0 <= y <= bound, scanning outward; None if none."""
     for y in range(bound + 1):

@@ -221,6 +221,29 @@ def test_hyperplane_is_ample():
         assert not is_ample(L, (-1, 0))
 
 
+def test_is_ample_matches_brute_force():
+    """Against the definition with every effective (-2)-class of the box
+    |a|, |y| <= 40 as a wall, for every model with b < 8 and r <= 200. On
+    square r the walls include classes from both signs of y."""
+    box = range(-40, 41)
+    mismatches = []
+    for b in range(8):
+        for c in range((b * b - 200 + 7) // 8, (b * b - 1) // 8 + 1):
+            if b * b - 8 * c in (1, 4, 8):
+                continue
+            L = QuarticLattice(b, c)
+            walls = [(a, y) for a in box for y in box
+                     if 4 * a * a + 2 * b * a * y + 2 * c * y * y == -2 and 4 * a + b * y > 0]
+            for A in ((x, y) for x in range(-8, 9) for y in range(-8, 9)):
+                want = (L.dot(H, A) > 0 and L.dot(A, A) > 0
+                        and all(L.dot(A, w) > 0 for w in walls))
+                if is_ample(L, A) != want:
+                    mismatches.append((b, c, A))
+    assert not mismatches, mismatches[:5]
+    # the (-2)-class (1, -1) of QuarticLattice(3, 0) cuts (2, -1) off
+    assert not is_ample(QuarticLattice(3, 0), (2, -1))
+
+
 def _models_for(r, shifts=(0, 1, -1, 2, -2, 3)):
     """Several (b, c) models of the same discriminant: b -> b + 4s keeps
     b^2 - 8c soluble with c adjusted, since (b + 4s)^2 = b^2 (mod 8)."""
