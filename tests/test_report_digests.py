@@ -1,8 +1,9 @@
 """Standing byte-identity check of the CLI's reports.
 
-Each argv below is run in process with --json --no-timestamp; the exit
-code and the sha256 of stdout must match tests/report_digests.json. A
-change that alters a report on purpose regenerates the file with
+Each argv below is run in process with --no-timestamp, once with --json
+and once as text; the exit code and the sha256 of stdout must match
+tests/report_digests.json, whose text entries carry the suffix " (text)".
+A change that alters a report on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_report_digests.py > tests/report_digests.json
 
@@ -57,26 +58,30 @@ def argvs() -> list[tuple[str, ...]]:
     return out
 
 
-def key(argv: tuple[str, ...]) -> str:
-    return " ".join(argv)
-
-
 def digest(argv: tuple[str, ...]) -> list:
     """[exit code, sha256 of stdout] of one in-process call."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main([*argv, "--json", "--no-timestamp"])
+        code = main([*argv, "--no-timestamp"])
     return [code, hashlib.sha256(buf.getvalue().encode()).hexdigest()]
+
+
+def digests() -> dict[str, list]:
+    """Every argv's --json digest keyed by the argv, then its text digest
+    keyed by the argv plus " (text)"."""
+    out = {" ".join(a): digest((*a, "--json")) for a in argvs()}
+    out.update({" ".join(a) + " (text)": digest(a) for a in argvs()})
+    return out
 
 
 def test_reports_match_recorded_digests():
     want = json.loads(DIGESTS.read_text())
-    got = {key(a): digest(a) for a in argvs()}
+    got = digests()
     assert sorted(got) == sorted(want)
     moved = [k for k in got if got[k] != want[k]]
     assert not moved, f"{len(moved)} reports changed, first: {moved[:5]}"
 
 
 if __name__ == "__main__":
-    json.dump({key(a): digest(a) for a in argvs()}, sys.stdout, indent=1)
+    json.dump(digests(), sys.stdout, indent=1)
     print()
