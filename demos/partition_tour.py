@@ -13,7 +13,6 @@ Run with: python demos/partition_tour.py
 from quartaut import (
     QuarticLattice,
     admissible_discriminants,
-    ample_square2_axes,
     canonical_bc,
     classify_aut,
 )
@@ -29,7 +28,7 @@ def main():
         b, c = canonical_bc(r)
         L = QuarticLattice(b, c)
         kind = classify_aut(L)
-        axes = ample_square2_axes(L)
+        axes = list(kind.axes)
         note = "" if r in admissible else "   <- no quartic carries this r"
         if r in admissible:
             buckets.setdefault(kind.tag, []).append(r)

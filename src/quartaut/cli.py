@@ -1,9 +1,12 @@
 """Command-line front end emitting machine-readable reports.
 
-Every command builds one Report (command, inputs, results, assumptions,
-paper_refs) and renders it as text or, with --json, as JSON. Reports are
-deterministic; the trailing timestamp and timing fields are omitted with
---no-timestamp so identical inputs give byte-identical output.
+Each command computes its results and exit code; main builds every report
+in one place (command, inputs, results, assumptions, paper_refs) and
+renders it as text or, with --json, as JSON. The inputs echo every option
+given, and each command's assumptions and paper_refs are attached where its
+subparser is registered. Reports are deterministic; the timestamp and the
+results' duration_s are omitted with --no-timestamp so identical inputs
+give byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid or out-of-scope
 input, 3 search exhausted. A ValueError or RuntimeError from a math layer
@@ -26,22 +29,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_SEARCH_EXHAUSTED = 3
-
-
-def _report(command: str, inputs: dict, results: dict, assumptions: list[str],
-            refs: list[str], stamp: bool) -> dict:
-    rep = {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "assumptions": assumptions,
-        "paper_refs": refs,
-    }
-    if stamp:
-        from datetime import datetime, timezone
-
-        rep["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return rep
 
 
 def _mat(m) -> list[list[int]]:
@@ -74,70 +61,53 @@ def _emit(rep: dict) -> None:
         print(f"timestamp: {rep['timestamp']}")
 
 
-def _model_inputs(args) -> dict:
-    inputs = {}
-    if args.r is not None:
-        inputs["r"] = args.r
-    if getattr(args, "b", None) is not None:
-        inputs["b"] = args.b
-    if getattr(args, "c", None) is not None:
-        inputs["c"] = args.c
-    return inputs
-
-
 def _resolve_model(args):
-    """(lattice, inputs, error_results) from --r or --b/--c; the lattice is
-    None when the inputs name no admissible model, with the reason (and the
+    """(lattice, error_results) from --r or --b/--c; the lattice is None when
+    the inputs name no admissible model, with the reason (and the
     small-discriminant witness when one exists) in error_results."""
     from . import surface as surf
 
-    inputs = _model_inputs(args)
-    b, c = getattr(args, "b", None), getattr(args, "c", None)
+    b, c = args.b, args.c
     if (b is None) != (c is None):
-        return None, inputs, {"error": "--b and --c must be given together"}
+        return None, {"error": "--b and --c must be given together"}
     if b is None:
         if args.r is None:
-            return None, inputs, {"error": "give --r or both --b and --c"}
+            return None, {"error": "give --r or both --b and --c"}
         if args.r in surf.CURVE_MODELS:
-            return surf.curve_model(args.r)[0], inputs, None
+            return surf.curve_model(args.r)[0], None
         try:
             b, c = surf.canonical_bc(args.r)
         except ValueError as e:
-            return None, inputs, {"error": str(e)}
+            return None, {"error": str(e)}
     r = b * b - 8 * c
     if r <= 0:
-        return None, inputs, {"error": f"discriminant {r} is not positive"}
+        return None, {"error": f"discriminant {r} is not positive"}
     if r in surf.FORBIDDEN_DISCS:
         E, (sq, deg) = surf.forbidden_small_disc(b, c)
-        return None, inputs, {
+        return None, {
             "error": f"discriminant {r} is incompatible with a very ample "
                      "degree-4 class",
             "witness": {"class": list(E), "pairing": [sq, deg]},
         }
-    return surf.QuarticLattice(b, c), inputs, None
+    return surf.QuarticLattice(b, c), None
 
 
 def cmd_classify(args) -> tuple[dict, int]:
     from . import exclusion
     from . import surface as surf
 
-    L, inputs, err = _resolve_model(args)
-    refs = ["builtin:partition-table", "builtin:generator-table"]
+    L, err = _resolve_model(args)
     if L is None:
-        rep = _report("classify", inputs, err, [_AUT_ASSUMPTION], refs, args.stamp)
-        return rep, EXIT_BAD_INPUT
+        return err, EXIT_BAD_INPUT
     kind = surf.classify_aut(L)
-    obstruction = surf.class_with_square_exists(L, 0, nonzero=True) \
-        or surf.class_with_square_exists(L, -2)
-    axes = surf.ample_square2_axes(L)
     results = {
         "r": L.r,
         "model": [L.b, L.c],
         "tag": kind.tag,
         "generators": [_mat(g) for g in kind.generators],
         "witnesses": {
-            "obstruction": list(obstruction) if obstruction else None,
-            "ample_square2_axes": [list(a) for a in axes],
+            "obstruction": list(kind.obstruction) if kind.obstruction else None,
+            "ample_square2_axes": [list(a) for a in kind.axes],
         },
     }
     if L.r in surf.CURVE_MODELS:
@@ -146,36 +116,25 @@ def cmd_classify(args) -> tuple[dict, int]:
         results["curve"] = {"gd": list(gd), "class": list(C) if C else None}
     else:
         results["curve"] = None
-    code = EXIT_OK
     if L.r not in exclusion.admissible_discriminants().admissible:
         results["caveat"] = (
             f"discriminant {L.r} is not realized by any rank-2 quartic in the "
             "classification (admissible range: 8 < r <= 57 dividing a curve "
             "discriminant); classification computed for reference"
         )
-        code = EXIT_BAD_INPUT
-    rep = _report("classify", inputs, results, [_AUT_ASSUMPTION], refs, args.stamp)
-    return rep, code
+        return results, EXIT_BAD_INPUT
+    return results, EXIT_OK
 
 
 def cmd_pell(args) -> tuple[dict, int]:
     from . import pell
 
-    inputs = _model_inputs(args)
-    inputs["n"] = args.n
-    if args.bound is not None:
-        inputs["bound"] = args.bound
-    refs = ["builtin:pell-witness-table"]
     b, c = args.b, args.c
     if (b is None) != (c is None):
-        rep = _report("pell", inputs, {"error": "--b and --c must be given together"},
-                      [], refs, args.stamp)
-        return rep, EXIT_BAD_INPUT
+        return {"error": "--b and --c must be given together"}, EXIT_BAD_INPUT
     r = b * b - 8 * c if b is not None else args.r
     if r is None or r <= 0:
-        rep = _report("pell", inputs, {"error": "a positive discriminant is required"},
-                      [], refs, args.stamp)
-        return rep, EXIT_BAD_INPUT
+        return {"error": "a positive discriminant is required"}, EXIT_BAD_INPUT
     witness = pell.solve(r, args.n)
     results = {
         "equation": f"x^2 - {r} y^2 = {args.n}",
@@ -186,31 +145,23 @@ def cmd_pell(args) -> tuple[dict, int]:
         results["orbit_representatives"] = [list(s) for s in pell.solution_class_reps(r, args.n)]
     if args.bound is not None:
         if args.bound < 1:
-            rep = _report("pell", inputs, {"error": "--bound must be at least 1"},
-                          [], refs, args.stamp)
-            return rep, EXIT_BAD_INPUT
+            return {"error": "--bound must be at least 1"}, EXIT_BAD_INPUT
         results["solutions_up_to_bound"] = [
             list(s) for s in pell.solutions_up_to(r, args.n, args.bound)
         ]
-    rep = _report("pell", inputs, results, [], refs, args.stamp)
-    return rep, EXIT_OK
+    return results, EXIT_OK
 
 
 def cmd_curve_class(args) -> tuple[dict, int]:
     from . import surface as surf
 
-    L, inputs, err = _resolve_model(args)
-    inputs["genus"], inputs["degree"] = args.genus, args.degree
-    refs = ["builtin:curve-models"]
+    L, err = _resolve_model(args)
     if L is None:
-        rep = _report("curve-class", inputs, err, [], refs, args.stamp)
-        return rep, EXIT_BAD_INPUT
+        return err, EXIT_BAD_INPUT
     g, d = args.genus, args.degree
     if not surf.realizable_gd(g, d):
-        results = {"error": f"no smooth curve of genus {g} and degree {d} lies "
-                            "on a smooth quartic"}
-        rep = _report("curve-class", inputs, results, [], refs, args.stamp)
-        return rep, EXIT_BAD_INPUT
+        return {"error": f"no smooth curve of genus {g} and degree {d} lies "
+                         "on a smooth quartic"}, EXIT_BAD_INPUT
     C = surf.find_curve_class(L, (g, d))
     results = {
         "r": L.r,
@@ -223,8 +174,7 @@ def cmd_curve_class(args) -> tuple[dict, int]:
         disc = L.dot(surf.H, C) ** 2 - L.dot(surf.H, surf.H) * L.dot(C, C)
         results["span_disc"] = disc
         results["index"] = abs(C[1])
-    rep = _report("curve-class", inputs, results, [], refs, args.stamp)
-    return rep, EXIT_OK
+    return results, EXIT_OK
 
 
 def _row_payload(rec) -> dict:
@@ -242,42 +192,29 @@ def _row_payload(rec) -> dict:
 def cmd_link(args) -> tuple[dict, int]:
     from . import links
 
-    inputs = {}
-    refs = ["builtin:link-catalog"]
     if (args.genus is None) != (args.degree is None):
-        rep = _report("link", inputs, {"error": "--genus and --degree must be "
-                                                "given together"}, [], refs, args.stamp)
-        return rep, EXIT_BAD_INPUT
-    if args.genus is not None:
-        inputs["genus"], inputs["degree"] = args.genus, args.degree
-        rec = links.lookup((args.genus, args.degree))
-        if rec is None:
-            results = {"error": f"no catalog link for (g, d) = "
-                                f"({args.genus}, {args.degree})"}
-            rep = _report("link", inputs, results, [], refs, args.stamp)
-            return rep, EXIT_BAD_INPUT
-        rep = _report("link", inputs, {"row": _row_payload(rec)}, [], refs, args.stamp)
-        return rep, EXIT_OK
-    results = {"rows": [_row_payload(rec) for rec in links.catalog()]}
-    rep = _report("link", inputs, results, [], refs, args.stamp)
-    return rep, EXIT_OK
+        return {"error": "--genus and --degree must be given together"}, EXIT_BAD_INPUT
+    if args.genus is None:
+        return {"rows": [_row_payload(rec) for rec in links.catalog()]}, EXIT_OK
+    rec = links.lookup((args.genus, args.degree))
+    if rec is None:
+        return {"error": f"no catalog link for (g, d) = "
+                         f"({args.genus}, {args.degree})"}, EXIT_BAD_INPUT
+    return {"row": _row_payload(rec)}, EXIT_OK
 
 
 def cmd_realize(args) -> tuple[dict, int]:
     from . import links
     from . import surface as surf
 
-    L, inputs, err = _resolve_model(args)
-    refs = ["builtin:link-catalog", "builtin:generator-table"]
+    L, err = _resolve_model(args)
     if L is None:
-        rep = _report("realize", inputs, err, [_AUT_ASSUMPTION], refs, args.stamp)
-        return rep, EXIT_BAD_INPUT
+        return err, EXIT_BAD_INPUT
     kind = surf.classify_aut(L)
     if kind.tag == "Trivial":
-        results = {"r": L.r, "model": [L.b, L.c], "tag": kind.tag,
-                   "error": "the automorphism group is trivial; nothing to realize"}
-        rep = _report("realize", inputs, results, [_AUT_ASSUMPTION], refs, args.stamp)
-        return rep, EXIT_BAD_INPUT
+        return ({"r": L.r, "model": [L.b, L.c], "tag": kind.tag,
+                 "error": "the automorphism group is trivial; nothing to realize"},
+                EXIT_BAD_INPUT)
     items = []
     code = EXIT_OK
     for g in kind.generators:
@@ -293,33 +230,24 @@ def cmd_realize(args) -> tuple[dict, int]:
             for step, s in zip(payload["word"], word.steps)
         ]
         items.append({"generator": _mat(g), **payload})
-    results = {"r": L.r, "model": [L.b, L.c], "tag": kind.tag, "realizations": items}
-    rep = _report("realize", inputs, results, [_AUT_ASSUMPTION], refs, args.stamp)
-    return rep, code
+    return {"r": L.r, "model": [L.b, L.c], "tag": kind.tag, "realizations": items}, code
 
 
 def cmd_exclusion(args) -> tuple[dict, int]:
     from . import exclusion
 
-    t0 = time.monotonic()
     report = exclusion.admissible_discriminants()
-    dt = time.monotonic() - t0
     results = report.to_json()
     results["pair_count"] = len(exclusion.CURVE_PAIRS)
     results["admissible_count"] = len(report.admissible)
-    if args.stamp:
-        results["duration_s"] = round(dt, 3)
-    rep = _report("exclusion", {}, results, [], ["builtin:curve-pair-list"], args.stamp)
-    return rep, EXIT_OK
+    return results, EXIT_OK
 
 
 def cmd_antiflip(args) -> tuple[dict, int]:
     from . import exclusion
 
-    t0 = time.monotonic()
     report = exclusion.antiflip_report()
-    dt = time.monotonic() - t0
-    results = {
+    return {
         "solvable": sorted(list(p) for p in report.solvable),
         "configurations": report.configurations,
         "witnesses": [
@@ -331,26 +259,14 @@ def cmd_antiflip(args) -> tuple[dict, int]:
             }
             for w in report.witnesses
         ],
-    }
-    if args.stamp:
-        results["duration_s"] = round(dt, 3)
-    rep = _report("antiflip-check", {}, results, [], ["builtin:antiflip-system"],
-                  args.stamp)
-    return rep, EXIT_OK
+    }, EXIT_OK
 
 
 def cmd_verify_paper(args) -> tuple[dict, int]:
     from . import verify
 
-    t0 = time.monotonic()
     summary = verify.run_all()
-    dt = time.monotonic() - t0
-    if args.stamp:
-        summary["duration_s"] = round(dt, 3)
-    rep = _report("verify-paper", {}, summary, [_AUT_ASSUMPTION],
-                  ["builtin:golden-suites"], args.stamp)
-    code = EXIT_OK if summary["passed"] else EXIT_VERIFY_FAILED
-    return rep, code
+    return summary, EXIT_OK if summary["passed"] else EXIT_VERIFY_FAILED
 
 
 def _emit_verify_text(rep: dict) -> None:
@@ -390,71 +306,87 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="automorphism group of a model")
     model(sp); common(sp)
-    sp.set_defaults(fn=cmd_classify)
+    sp.set_defaults(fn=cmd_classify, meta=(
+        [_AUT_ASSUMPTION], ["builtin:partition-table", "builtin:generator-table"]))
 
     sp = sub.add_parser("pell", help="solve x^2 - r y^2 = n")
     model(sp)
     sp.add_argument("--n", type=int, required=True, help="right-hand side")
     sp.add_argument("--bound", type=int, help="also enumerate |y| <= bound")
     common(sp)
-    sp.set_defaults(fn=cmd_pell)
+    sp.set_defaults(fn=cmd_pell, meta=([], ["builtin:pell-witness-table"]))
 
     sp = sub.add_parser("curve-class", help="class of a (genus, degree) curve")
     model(sp)
     sp.add_argument("--genus", type=int, required=True)
     sp.add_argument("--degree", type=int, required=True)
     common(sp)
-    sp.set_defaults(fn=cmd_curve_class)
+    sp.set_defaults(fn=cmd_curve_class, meta=([], ["builtin:curve-models"]))
 
     sp = sub.add_parser("link", help="show the link catalog")
     sp.add_argument("--genus", type=int)
     sp.add_argument("--degree", type=int)
     common(sp)
-    sp.set_defaults(fn=cmd_link)
+    sp.set_defaults(fn=cmd_link, meta=([], ["builtin:link-catalog"]))
 
     sp = sub.add_parser("realize", help="link words realizing the generators")
     model(sp); common(sp)
-    sp.set_defaults(fn=cmd_realize)
+    sp.set_defaults(fn=cmd_realize, meta=(
+        [_AUT_ASSUMPTION], ["builtin:link-catalog", "builtin:generator-table"]))
 
     sp = sub.add_parser("exclusion", help="discriminant divisibility exclusion")
     common(sp)
-    sp.set_defaults(fn=cmd_exclusion)
+    sp.set_defaults(fn=cmd_exclusion, meta=([], ["builtin:curve-pair-list"]))
 
     sp = sub.add_parser("antiflip-check", help="exhaust the anti-flip system")
     common(sp)
-    sp.set_defaults(fn=cmd_antiflip)
+    sp.set_defaults(fn=cmd_antiflip, meta=([], ["builtin:antiflip-system"]))
 
     sp = sub.add_parser("verify-paper", help="run all golden suites")
     common(sp)
-    sp.set_defaults(fn=cmd_verify_paper)
+    sp.set_defaults(fn=cmd_verify_paper, meta=([_AUT_ASSUMPTION], ["builtin:golden-suites"]))
 
     return parser
 
 
-def _failure(args, err: Exception) -> tuple[dict, int]:
-    """Report for an exception a layer raised: its message (which names the
+def _failure(err: Exception) -> tuple[dict, int]:
+    """Results for an exception a layer raised: its message (which names the
     bound that stopped it) and the module.function that raised it."""
     tb = err.__traceback__
     while tb.tb_next is not None:
         tb = tb.tb_next
     frame = tb.tb_frame
     layer = f"{frame.f_globals['__name__'].rpartition('.')[2]}.{frame.f_code.co_name}"
-    inputs = {k: v for k, v in vars(args).items()
-              if k not in ("command", "fn", "json", "stamp") and v is not None}
-    rep = _report(args.command, inputs, {"error": str(err), "layer": layer}, [], [],
-                  args.stamp)
-    return rep, EXIT_BAD_INPUT if isinstance(err, ValueError) else EXIT_SEARCH_EXHAUSTED
+    return ({"error": str(err), "layer": layer},
+            EXIT_BAD_INPUT if isinstance(err, ValueError) else EXIT_SEARCH_EXHAUSTED)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    assumptions, refs = args.meta
+    t0 = time.monotonic()
     try:
-        rep, code = args.fn(args)
+        results, code = args.fn(args)
     except (ValueError, RuntimeError) as err:
-        rep, code = _failure(args, err)
+        (results, code), assumptions, refs = _failure(err), [], []
+    else:
+        if args.stamp:
+            results["duration_s"] = round(time.monotonic() - t0, 3)
+    rep = {
+        "command": args.command,
+        "inputs": {k: v for k, v in vars(args).items()
+                   if k not in ("command", "fn", "meta", "json", "stamp") and v is not None},
+        "results": results,
+        "assumptions": assumptions,
+        "paper_refs": refs,
+    }
+    if args.stamp:
+        from datetime import datetime, timezone
+
+        rep["timestamp"] = datetime.now(timezone.utc).isoformat()
     if args.json:
         print(json.dumps(rep, indent=2))
-    elif rep["command"] == "verify-paper":
+    elif args.command == "verify-paper":
         _emit_verify_text(rep)
     else:
         _emit(rep)

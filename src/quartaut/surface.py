@@ -116,12 +116,19 @@ def curve_model(r: int) -> tuple[QuarticLattice, tuple[int, int]]:
     return QuarticLattice(b, c), gd
 
 
-class AutKind(NamedTuple("AutKind", [("tag", str), ("generators", tuple[Mat, ...])])):
-    """Result of classify_aut: a tag and matching generator matrices."""
+class AutKind(NamedTuple("AutKind", [("tag", str), ("generators", tuple[Mat, ...]),
+                                     ("obstruction", Vec | None),
+                                     ("axes", tuple[Vec, ...])])):
+    """Result of classify_aut: a tag and matching generator matrices, with
+    the witnesses that decide the tag: obstruction, a nonzero class of
+    square 0 or -2 (None when there is none), and axes, the ample square-2
+    classes sorted by their Pell key (the reflection axes for Z2 and
+    Z2starZ2)."""
 
     __slots__ = ()
 
-    def __new__(cls, tag: str, generators: tuple[Mat, ...] = ()) -> "AutKind":
+    def __new__(cls, tag: str, generators: tuple[Mat, ...] = (),
+                obstruction: Vec | None = None, axes: tuple[Vec, ...] = ()) -> "AutKind":
         if tag not in AUT_TAGS:
             raise ValueError("unknown tag %r" % (tag,))
         want = {"Trivial": 0, "Z2": 1, "Z2starZ2": 2, "Z": 1}[tag]
@@ -129,7 +136,7 @@ class AutKind(NamedTuple("AutKind", [("tag", str), ("generators", tuple[Mat, ...
             raise ValueError(
                 "tag %s needs %d generators, got %d" % (tag, want, len(generators))
             )
-        return super().__new__(cls, tag, generators)
+        return super().__new__(cls, tag, generators, obstruction, axes)
 
 
 def genus_degree(L: QuarticLattice, C: Vec) -> tuple[int, int]:
@@ -385,17 +392,14 @@ def classify_aut(L: QuarticLattice) -> AutKind:
     P1 and not P2 -> Trivial; P1 and P2 -> Z2; not P1 and P2 -> Z2starZ2
     (two involutions, free product); neither -> Z.
     """
-    p1 = (
-        class_with_square_exists(L, 0, nonzero=True) is not None
-        or class_with_square_exists(L, -2) is not None
-    )
+    obstruction = class_with_square_exists(L, 0, nonzero=True) \
+        or class_with_square_exists(L, -2)
     axes = ample_square2_axes(L)
-    p2 = bool(axes)
-    if p1:
-        tag = "Z2" if p2 else "Trivial"
+    if obstruction:
+        tag = "Z2" if axes else "Trivial"
     else:
-        tag = "Z2starZ2" if p2 else "Z"
+        tag = "Z2starZ2" if axes else "Z"
     from . import isometry
 
     gens = isometry.generators_for(L, tag, axes)
-    return AutKind(tag, tuple(gens))
+    return AutKind(tag, tuple(gens), obstruction, tuple(axes))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quartaut import links, pell
+from quartaut import isometry, links, pell, surface
 from quartaut.cli import main
 
 
@@ -220,6 +220,31 @@ def test_layer_value_error_becomes_a_report_with_exit_2(capsys, monkeypatch):
     assert "timestamp" in rep
 
 
+def test_layer_runtime_error_becomes_a_report_with_exit_3(capsys, monkeypatch):
+    def stop(L):
+        raise RuntimeError("forced stop")
+
+    monkeypatch.setattr(isometry, "minimal_quadeq_solution", stop)
+    code, rep = run_json(capsys, "classify", "--r", "48", "--no-timestamp")
+    assert code == 3
+    assert rep["inputs"] == {"r": 48}
+    assert rep["results"] == {"error": "forced stop",
+                              "layer": "test_cli.stop"}
+    assert rep["assumptions"] == [] and rep["paper_refs"] == []
+
+
+def test_classify_computes_each_witness_once(capsys, monkeypatch):
+    calls = {"class_with_square_exists": 0, "ample_square2_axes": 0}
+    for name in calls:
+        def counted(*a, _f=getattr(surface, name), _name=name, **kw):
+            calls[_name] += 1
+            return _f(*a, **kw)
+        monkeypatch.setattr(surface, name, counted)
+    code, _ = run_json(capsys, "classify", "--r", "48", "--no-timestamp")
+    assert code == 0
+    assert calls == {"class_with_square_exists": 2, "ample_square2_axes": 1}
+
+
 def test_reports_are_deterministic(capsys):
     for argv in (
         ("classify", "--r", "28"),
@@ -236,8 +261,10 @@ def test_reports_are_deterministic(capsys):
 def test_timestamp_present_by_default(capsys):
     _, rep = run_json(capsys, "classify", "--r", "17")
     assert "timestamp" in rep
+    assert rep["results"]["duration_s"] >= 0
     _, rep = run_json(capsys, "classify", "--r", "17", "--no-timestamp")
     assert "timestamp" not in rep
+    assert "duration_s" not in rep["results"]
 
 
 def test_text_mode_renders_flat_lines(capsys):

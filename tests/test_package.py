@@ -65,7 +65,7 @@ _REC = LinkRecord((14, 11), "P3", (14, 11), 19, 5, 19)
 @pytest.mark.parametrize("record, text", [
     (QuarticLattice(1, -2), "QuarticLattice(b=1, c=-2)"),
     (GramLattice(4, 1, -4), "GramLattice(q11=4, q12=1, q22=-4)"),
-    (AutKind("Trivial"), "AutKind(tag='Trivial', generators=())"),
+    (AutKind("Trivial"), "AutKind(tag='Trivial', generators=(), obstruction=None, axes=())"),
     (_REC, "LinkRecord(gd=(14, 11), target='P3', gd_plus=(14, 11), a=19, b=5, c=19, "
            "source='P3')"),
     (LinkWord((LinkStep(_REC, ((1, 0), (0, 1))),)),

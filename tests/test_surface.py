@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quartaut.isometry import reflection
 from quartaut.lattice import IDENTITY, mat_mul, mat_vec
 from quartaut.surface import (
     CURVE_MODELS,
@@ -212,6 +213,24 @@ def test_no_ample_axes_in_trivial_and_z_cases():
     for r in sorted(PARTITION["Trivial"] | PARTITION["Z"]):
         L = QuarticLattice(*canonical_bc(r))
         assert ample_square2_axes(L) == []
+
+
+def test_classify_aut_returns_the_witnesses_that_decide_its_tag():
+    """Every canonical model with r <= 260: the obstruction exists exactly
+    for Trivial and Z2 and has square 0 (nonzero) or -2; the axes are
+    ample_square2_axes, and the involutions reflect along them."""
+    for r in range(9, 261):
+        if r % 8 not in (0, 1, 4):
+            continue
+        L = QuarticLattice(*canonical_bc(r))
+        kind = classify_aut(L)
+        assert (kind.obstruction is not None) == (kind.tag in ("Trivial", "Z2")), r
+        if kind.obstruction is not None:
+            sq = L.dot(kind.obstruction, kind.obstruction)
+            assert sq == -2 or (sq == 0 and kind.obstruction != (0, 0)), r
+        assert kind.axes == tuple(ample_square2_axes(L)), r
+        if kind.tag in ("Z2", "Z2starZ2"):
+            assert kind.generators == tuple(reflection(L, A) for A in kind.axes), r
 
 
 def test_hyperplane_is_ample():
