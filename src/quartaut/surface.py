@@ -390,7 +390,8 @@ def classify_aut(L: QuarticLattice) -> AutKind:
     P1: some nonzero class has square 0 or -2 (the surface carries elliptic
     or rational curves). P2: some ample class has square 2.
     P1 and not P2 -> Trivial; P1 and P2 -> Z2; not P1 and P2 -> Z2starZ2
-    (two involutions, free product); neither -> Z.
+    (two involutions, free product); neither -> Z. The witnesses of P1 and
+    P2 come back as the record's obstruction and axes.
     """
     obstruction = class_with_square_exists(L, 0, nonzero=True) \
         or class_with_square_exists(L, -2)
