@@ -61,15 +61,28 @@ def _emit(rep: dict) -> None:
         print(f"timestamp: {rep['timestamp']}")
 
 
+def _model_error(args) -> str | None:
+    """Why --r, --b and --c name no single discriminant, or None: --b and
+    --c come together, and a --r given with them must equal b^2 - 8c."""
+    b, c, r = args.b, args.c, args.r
+    if (b is None) != (c is None):
+        return "--b and --c must be given together"
+    if b is not None and r is not None and r != b * b - 8 * c:
+        return (f"--r {r} disagrees with --b {b} --c {c}, whose discriminant "
+                f"is {b * b - 8 * c}")
+    return None
+
+
 def _resolve_model(args):
     """(lattice, error_results) from --r or --b/--c; the lattice is None when
     the inputs name no admissible model, with the reason (and the
     small-discriminant witness when one exists) in error_results."""
     from . import surface as surf
 
+    err = _model_error(args)
+    if err:
+        return None, {"error": err}
     b, c = args.b, args.c
-    if (b is None) != (c is None):
-        return None, {"error": "--b and --c must be given together"}
     if b is None:
         if args.r is None:
             return None, {"error": "give --r or both --b and --c"}
@@ -129,10 +142,10 @@ def cmd_classify(args) -> tuple[dict, int]:
 def cmd_pell(args) -> tuple[dict, int]:
     from . import pell
 
-    b, c = args.b, args.c
-    if (b is None) != (c is None):
-        return {"error": "--b and --c must be given together"}, EXIT_BAD_INPUT
-    r = b * b - 8 * c if b is not None else args.r
+    err = _model_error(args)
+    if err:
+        return {"error": err}, EXIT_BAD_INPUT
+    r = args.r if args.b is None else args.b * args.b - 8 * args.c
     if r is None or r <= 0:
         return {"error": "a positive discriminant is required"}, EXIT_BAD_INPUT
     witness = pell.solve(r, args.n)
@@ -224,12 +237,7 @@ def cmd_realize(args) -> tuple[dict, int]:
                           "error": "no word of length <= 2 found"})
             code = EXIT_SEARCH_EXHAUSTED
             continue
-        payload = links.word_to_json(word, g)
-        payload["word"] = [
-            dict(step, abc=[s.record.a, s.record.b, s.record.c])
-            for step, s in zip(payload["word"], word.steps)
-        ]
-        items.append({"generator": _mat(g), **payload})
+        items.append({"generator": _mat(g), **links.word_to_json(word, g)})
     return {"r": L.r, "model": [L.b, L.c], "tag": kind.tag, "realizations": items}, code
 
 

@@ -152,12 +152,7 @@ def _integer_roots(a2: int, a1: int, a0: int) -> list[int]:
 
 
 def _cells() -> list[tuple[int, int]]:
-    out = []
-    for d in range(1, _DEGREE_CAP):
-        for pa in range(0, d * d // 8 + 1):
-            if 8 * pa <= d * d:
-                out.append((pa, d))
-    return out
+    return [(pa, d) for d in range(1, _DEGREE_CAP) for pa in range(d * d // 8 + 1)]
 
 
 def _cell_solutions(pa: int, d: int, counter: list[int] | None = None) -> list[AntiflipSolution]:

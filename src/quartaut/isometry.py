@@ -17,7 +17,7 @@ classify_aut reports.
 from __future__ import annotations
 
 from . import surface as surf
-from .lattice import Mat, Vec, mat_mul, pairing
+from .lattice import Mat, Vec, mat_mul, mat_transpose
 
 _W: Vec = (0, 1)
 
@@ -25,14 +25,9 @@ _QUADEQ_HARD_CAP = 1_000_000
 
 
 def is_isometry(L: surf.QuarticLattice, m: Mat) -> bool:
-    """Exact check that m preserves the intersection form."""
-    q = L.base
-    cols = (mat_col(m, 0), mat_col(m, 1))
-    return (
-        pairing(q, cols[0], cols[0]) == q.q11
-        and pairing(q, cols[0], cols[1]) == q.q12
-        and pairing(q, cols[1], cols[1]) == q.q22
-    )
+    """Exact check that m preserves the intersection form: m^T Q m == Q."""
+    Q = L.base.gram()
+    return mat_mul(mat_transpose(m), mat_mul(Q, m)) == Q
 
 
 def mat_col(m: Mat, j: int) -> Vec:

@@ -109,21 +109,22 @@ def compose_word(word: LinkWord) -> Mat:
     return acc
 
 
-def _step_candidates(rec: LinkRecord, cur_gd: tuple[int, int], ambient: str) -> list[Mat]:
-    """Base changes that let `rec` act on a frame whose current curve has
-    data cur_gd: identity when the data already match, else the swap
-    C' = lam*H - C with lam fixed by degree and checked against genus."""
+def _step_candidates(gd: tuple[int, int], cur_gd: tuple[int, int], ambient: str) -> list[Mat]:
+    """Base changes that turn a frame whose current curve has data cur_gd
+    into one whose curve has data gd: identity when the data already match,
+    and the swap C' = lam*H - C with lam fixed by degree and checked
+    against genus."""
     h2 = _AMBIENT_SQUARE[ambient]
     out = []
-    if rec.gd == cur_gd:
+    if gd == cur_gd:
         out.append(IDENTITY)
     g0, d0 = cur_gd
-    num = rec.gd[1] + d0
+    num = gd[1] + d0
     if num % h2 == 0:
         lam = num // h2
         if lam != 0:
             csq = lam * lam * h2 - 2 * lam * d0 + (2 * g0 - 2)
-            if csq == 2 * rec.gd[0] - 2:
+            if csq == 2 * gd[0] - 2:
                 out.append(base_change(lam))
     return out
 
@@ -140,23 +141,14 @@ def _as_link_shape(m: Mat) -> tuple[int, int, int] | None:
 
 def _synthesize_return(rec1: LinkRecord, m1: Mat, target: Mat) -> LinkStep | None:
     """Return leg of a two-step word through X5: solve for the second matrix
-    and accept it only if it has the link shape."""
-    g2, d2 = rec1.gd_plus
-    h2 = _AMBIENT_SQUARE[rec1.target]
-    cands: list[tuple[Mat, tuple[int, int]]] = [(IDENTITY, (g2, d2))]
-    if (2 * d2) % h2 == 0:
-        lam = 2 * d2 // h2
-        if lam != 0:
-            cands.append((base_change(lam), (g2, lam * h2 - d2)))
+    and accept it only if it has the link shape. The leg starts from the
+    flopped curve's data gd_plus, which either base change keeps."""
+    gd = rec1.gd_plus
     rest = mat_mul(mat_inv_unimodular(m1), target)
-    for B2, gd2 in cands:
-        m2 = conjugate(rest, B2)
-        shape = _as_link_shape(m2)
-        if shape is None:
-            continue
-        a, b, c = shape
-        rec = LinkRecord(gd2, "P3", gd2, a, b, c, source=rec1.target)
-        return LinkStep(rec, B2)
+    for B2 in _step_candidates(gd, gd, rec1.target):
+        shape = _as_link_shape(conjugate(rest, B2))
+        if shape is not None:
+            return LinkStep(LinkRecord(gd, "P3", gd, *shape, source=rec1.target), B2)
     return None
 
 
@@ -177,17 +169,17 @@ def realize_generator(L: surf.QuarticLattice, target: Mat) -> LinkWord | None:
     for rec in eligible:
         if rec.target != "P3":
             continue
-        for B in _step_candidates(rec, rec.gd, rec.source):
+        for B in _step_candidates(rec.gd, rec.gd, rec.source):
             if conjugate(link_matrix(rec), B) == target:
                 return LinkWord((LinkStep(rec, B),))
     for rec1 in eligible:
-        for B1 in _step_candidates(rec1, rec1.gd, rec1.source):
+        for B1 in _step_candidates(rec1.gd, rec1.gd, rec1.source):
             m1 = conjugate(link_matrix(rec1), B1)
             if rec1.target == "P3":
                 for rec2 in rows:
                     if rec2.source != "P3" or rec2.target != "P3":
                         continue
-                    for B2 in _step_candidates(rec2, rec1.gd_plus, rec1.target):
+                    for B2 in _step_candidates(rec2.gd, rec1.gd_plus, rec1.target):
                         m2 = conjugate(link_matrix(rec2), B2)
                         if mat_mul(m1, m2) == target:
                             return LinkWord((LinkStep(rec1, B1), LinkStep(rec2, B2)))
@@ -199,7 +191,8 @@ def realize_generator(L: surf.QuarticLattice, target: Mat) -> LinkWord | None:
 
 
 def word_to_json(word: LinkWord, target: Mat | None = None) -> dict:
-    """Serialize a word with its composite; includes the match flag when a
+    """Serialize a word with its composite, each step with its record's gd,
+    target and abc and its base change; includes the match flag when a
     generator matrix is supplied."""
     comp = compose_word(word)
     out = {
@@ -208,6 +201,7 @@ def word_to_json(word: LinkWord, target: Mat | None = None) -> dict:
                 "gd": list(step.record.gd),
                 "target": step.record.target,
                 "base_change": [list(row) for row in step.change],
+                "abc": [step.record.a, step.record.b, step.record.c],
             }
             for step in word.steps
         ],

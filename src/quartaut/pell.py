@@ -148,20 +148,16 @@ def solve(r: int, n: int, nonzero_y: bool = False) -> Vec | None:
         if is_square(r):
             return (isqrt(r), 1)
         return None
-    if is_square(r):
-        sols = _square_solutions(isqrt(r), n)
-        if nonzero_y:
-            sols = [s for s in sols if s[1] != 0]
-        if not sols:
-            return None
-        return min(((abs(x), abs(y)) for x, y in sols), key=lambda s: (s[1], s[0]))
     if not nonzero_y and n > 0 and is_square(n):
         return (isqrt(n), 0)
-    reps = _lmm_reps(r, n)
-    if not reps:
+    if is_square(r):
+        sols = [s for s in _square_solutions(isqrt(r), n) if s[1] or not nonzero_y]
+    else:
+        # every class representative has y >= 1, so nonzero_y is already satisfied
+        sols = _lmm_reps(r, n)
+    if not sols:
         return None
-    # every class representative has y >= 1, so nonzero_y is already satisfied
-    return min(((abs(x), abs(y)) for x, y in reps), key=lambda s: (s[1], s[0]))
+    return min(((abs(x), abs(y)) for x, y in sols), key=lambda s: (s[1], s[0]))
 
 
 def has_solution(r: int, n: int, nonzero_y: bool = False) -> bool:
@@ -182,7 +178,10 @@ def solution_class_reps(r: int, n: int) -> list[Vec]:
     if is_square(r):
         return _square_solutions(isqrt(r), n)
     raw = _lmm_reps(r, n)
-    # widen with sign variants (conjugate classes), then dedupe by orbit
+    # widen with sign variants (conjugate classes), then dedupe by orbit.
+    # (-x, -y) and (-x, y) add no orbit that (x, y) and (x, -y) miss, but
+    # they stay: the first-seen order follows sorted(pool), so trimming them
+    # would reorder the output (and move classify's obstruction on r = 108).
     pool = {v for x, y in raw for v in ((x, y), (-x, -y), (x, -y), (-x, y))}
     t, u, _ = _unit_data(r)
     out: list[Vec] = []

@@ -21,7 +21,7 @@ ample degree-4 polarization tolerates (forbidden_small_disc exhibits it).
 """
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from . import pell
@@ -41,19 +41,16 @@ FORBIDDEN_DISCS = frozenset({1, 4, 8})
 
 AUT_TAGS = ("Trivial", "Z2", "Z2starZ2", "Z")
 
+# r mod 8 -> smallest b >= 0 with b^2 ≡ r (mod 8); other residues have none
+_CANONICAL_B = {0: 0, 1: 1, 4: 2}
+
 
 def canonical_bc(r: int) -> tuple[int, int]:
     """Smallest b >= 0 with b^2 ≡ r (mod 8), and the matching c."""
     if r <= 0:
         raise ValueError("discriminant must be positive")
-    m = r % 8
-    if m == 0:
-        b = 0
-    elif m == 1:
-        b = 1
-    elif m == 4:
-        b = 2
-    else:
+    b = _CANONICAL_B.get(r % 8)
+    if b is None:
         raise ValueError(
             "no even lattice with a square-4 vector has discriminant %d" % r
         )
@@ -170,23 +167,33 @@ def _congruent_class(b: int, x: int, y: int) -> Vec | None:
     return ((x - b * y) // 4, y)
 
 
-def _normalize_effective(L: QuarticLattice, D: Vec) -> Vec:
-    """Flip sign so D.H > 0, breaking a D.H = 0 tie lexicographically."""
-    d = L.dot(H, D)
+def _normalize_effective(b: int, D: Vec) -> Vec:
+    """Flip sign so D.H = 4*D[0] + b*D[1] > 0, breaking a D.H = 0 tie
+    lexicographically."""
+    d = 4 * D[0] + b * D[1]
     if d < 0 or (d == 0 and D < (-D[0], -D[1])):
         return (-D[0], -D[1])
     return D
 
 
+def _classes_of_square(L: QuarticLattice, k: int) -> list[Vec]:
+    """The classes of square k != 0 read off pell.solution_class_reps(r, 4k):
+    each solution with x ≡ b*y (mod 4) gives D = ((x - b*y)/4, y). They
+    cover every automorph-and-sign orbit (for square r, every class), since
+    the automorph and negation preserve the congruence."""
+    return [D for x, y in pell.solution_class_reps(L.r, 4 * k)
+            if (D := _congruent_class(L.b, x, y)) is not None]
+
+
 def class_with_square_exists(L: QuarticLattice, k: int, nonzero: bool = False) -> Vec | None:
     """A class D with D^2 = k, or None.
 
-    Solves x^2 - r*y^2 = 4k and keeps the first representative with
-    x ≡ b*y (mod 4): the representatives cover every automorph-and-sign
-    orbit (for square r, every solution), and the automorph and negation
-    preserve the congruence. No sign normalization is applied (both signs
-    of a class answer the existence question). The zero class only counts
-    when nonzero is False.
+    For k != 0 the first of _classes_of_square, with no sign normalization
+    (both signs of a class answer the existence question). The zero class
+    only counts when nonzero is False. A nonzero square-0 class needs
+    r = t^2 and x = s*y with s = ±t; D = ((s - b)*y/4, y) is then integral
+    first at y = 4/gcd(s - b, 4), and the s with the smaller y wins (+t on
+    a tie).
     """
     if k % 2:
         raise ValueError("an even lattice has no class of odd square")
@@ -197,31 +204,32 @@ def class_with_square_exists(L: QuarticLattice, k: int, nonzero: bool = False) -
         if not pell.is_square(r):
             return None
         t = isqrt(r)
-        for y in range(1, 5):
-            for x in (t * y, -t * y):
-                D = _congruent_class(L.b, x, y)
-                if D is not None:
-                    return D
+        s = min((t, -t), key=lambda s: 4 // gcd(s - L.b, 4))
+        y = 4 // gcd(s - L.b, 4)
+        return ((s - L.b) * y // 4, y)
+    classes = _classes_of_square(L, k)
+    return classes[0] if classes else None
+
+
+def _index(r: int, d: int, sq: int) -> int | None:
+    """|y| of a class D with H.D = d and D^2 = sq, fixed by
+    (H.D)^2 - H^2 D^2 = r*y^2; None when that has no integer solution."""
+    y2, rem = divmod(d * d - 4 * sq, r)
+    if rem or y2 < 0 or not pell.is_square(y2):
         return None
-    for x, y in pell.solution_class_reps(r, 4 * k):
-        D = _congruent_class(L.b, x, y)
-        if D is not None:
-            return D
-    return None
+    return isqrt(y2)
 
 
 def find_curve_class(L: QuarticLattice, target: tuple[int, int]) -> Vec | None:
     """A class D with genus_degree(L, D) == target, or None.
 
-    Exact: (H.D)^2 - H^2 D^2 = r*y^2 fixes y^2 = (d^2 - 8(g - 1))/r, and
-    H.D = d fixes D = ((d - b*y)/4, y). The first of y = -|y|, +|y| meeting
-    the mod-4 congruence is returned.
+    Exact: _index fixes |y|, and H.D = d fixes D = ((d - b*y)/4, y). The
+    first of y = -|y|, +|y| meeting the mod-4 congruence is returned.
     """
     g, d = target
-    y2, rem = divmod(d * d - 8 * (g - 1), L.r)
-    if rem or y2 < 0 or not pell.is_square(y2):
+    y = _index(L.r, d, 2 * (g - 1))
+    if y is None:
         return None
-    y = isqrt(y2)
     for sy in ((-y, y) if y else (0,)):
         D = _congruent_class(L.b, d, sy)
         if D is not None:
@@ -236,26 +244,14 @@ def forbidden_small_disc(b: int, c: int) -> tuple[Vec, tuple[int, int]]:
     r = b * b - 8 * c
     if r not in FORBIDDEN_DISCS:
         raise ValueError("only discriminants 1, 4, 8 are excluded this way")
-    L_base = GramLattice(4, b, 2 * c)
     for sq, deg in ((0, 1), (0, 2), (-2, 0)):
-        # 4*E^2 = (H.E)^2 - r*y^2
-        num = deg * deg - 4 * sq
-        if num % r:
-            continue
-        if num < 0:
-            continue
-        y2 = num // r
-        y = isqrt(y2)
-        if y * y != y2:
+        y = _index(r, deg, sq)
+        if y is None:
             continue
         for sy in ((y, -y) if y else (0,)):
             E = _congruent_class(b, deg, sy)
-            if E is None:
-                continue
-            d0 = pairing(L_base, H, E)
-            if d0 < 0 or (d0 == 0 and E < (-E[0], -E[1])):
-                E = (-E[0], -E[1])
-            return E, (sq, deg)
+            if E is not None:
+                return _normalize_effective(b, E), (sq, deg)
     raise RuntimeError("no witness found; unreachable for r in {1, 4, 8}")
 
 
@@ -270,15 +266,8 @@ def neg2_wall_orbits(L: QuarticLattice) -> list[Vec]:
     """Effective-wall generators: one class per automorph-and-sign orbit of
     classes with square -2 (for square r, the full finite list), each with
     its effective sign."""
-    walls: list[Vec] = []
-    for x, y in pell.solution_class_reps(L.r, -8):
-        D = _congruent_class(L.b, x, y)
-        if D is None:
-            continue
-        D = _normalize_effective(L, D)
-        if D not in walls:
-            walls.append(D)
-    return walls
+    return list(dict.fromkeys(_normalize_effective(L.b, D)
+                              for D in _classes_of_square(L, -2)))
 
 
 def _pell_key(L: QuarticLattice, D: Vec) -> tuple[int, int, int]:
@@ -310,12 +299,12 @@ def _least_degree_each_side(L: QuarticLattice, starts: list[Vec]) -> list[Vec]:
         return d, side
 
     for start in starts:
-        first = _normalize_effective(L, start)
+        first = _normalize_effective(L.b, start)
         first_d, _ = keep(first)
         for M, stop_side in walks:
             D, prev_d = first, first_d
             while True:
-                D = _normalize_effective(L, mat_vec(M, D))
+                D = _normalize_effective(L.b, mat_vec(M, D))
                 d, side = keep(D)
                 if side == stop_side and d >= prev_d:
                     break
@@ -369,11 +358,9 @@ def ample_square2_axes(L: QuarticLattice) -> list[Vec]:
     reflection group are the two classes of least degree, one on each side
     of H (y < 0 and y > 0 after normalizing A.H > 0).
     """
-    r = L.r
-    if pell.is_square(r):
+    if pell.is_square(L.r):
         return []
-    reps = [D for x, y in pell.solution_class_reps(r, 8)
-            if (D := _congruent_class(L.b, x, y)) is not None]
+    reps = _classes_of_square(L, 2)
     if not reps:
         return []
     walls = _chamber_walls(L)

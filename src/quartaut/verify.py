@@ -143,15 +143,12 @@ def suite_antiflip() -> list[Check]:
         _check("solvable pairs", set(report.solvable), {(15, 11)}),
         Check("runtime", dt < 30.0, f"{dt:.2f}s" if dt >= 30.0 else ""),
     ]
-    line = [w.frame_class() for w in report.witnesses if w.frame_class() == (3, -1)]
+    line = [w for w in report.witnesses if w.frame_class() == (3, -1)]
     out.append(Check("line witness 3H-C", bool(line), "no witness maps to 3H - C"))
-    for w in report.witnesses:
-        fc = w.frame_class()
-        if fc == (3, -1):
-            x, y = fc
-            lsq = 4 * x * x + 2 * w.d * x * y + (2 * w.pa - 2) * y * y
-            out.append(_check("line pairing", (lsq, 4 * x + w.d * y), (-2, 1)))
-            break
+    if line:
+        w, (x, y) = line[0], (3, -1)
+        lsq = 4 * x * x + 2 * w.d * x * y + (2 * w.pa - 2) * y * y
+        out.append(_check("line pairing", (lsq, 4 * x + w.d * y), (-2, 1)))
     return out
 
 

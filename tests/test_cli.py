@@ -59,6 +59,35 @@ def test_classify_model_override_matches_r(capsys):
     assert by_r["results"]["tag"] == by_bc["results"]["tag"] == "Z2starZ2"
 
 
+_MODEL_TAILS = {
+    "classify": (),
+    "realize": (),
+    "curve-class": ("--genus", "2", "--degree", "8"),
+    "pell": ("--n", "8"),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_MODEL_TAILS))
+def test_r_disagreeing_with_b_c_is_refused(capsys, cmd):
+    code, rep = run_json(capsys, cmd, "--r", "17", "--b", "8", "--c", "1",
+                         *_MODEL_TAILS[cmd], "--no-timestamp")
+    assert code == 2
+    err = rep["results"]["error"]
+    assert "--r 17" in err and "56" in err
+    assert set(rep["results"]) == {"error"}
+
+
+@pytest.mark.parametrize("cmd", sorted(_MODEL_TAILS))
+def test_r_agreeing_with_b_c_is_accepted(capsys, cmd):
+    tail = (*_MODEL_TAILS[cmd], "--no-timestamp")
+    code, rep = run_json(capsys, cmd, "--r", "56", "--b", "8", "--c", "1", *tail)
+    _, by_bc = run_json(capsys, cmd, "--b", "8", "--c", "1", *tail)
+    assert code == 0
+    assert "error" not in rep["results"]
+    assert rep["results"] == by_bc["results"]
+    assert rep["inputs"] == {**by_bc["inputs"], "r": 56}
+
+
 def test_pell_report(capsys):
     code, rep = run_json(capsys, "pell", "--r", "17", "--n", "8", "--bound", "1")
     assert code == 0

@@ -216,7 +216,9 @@ def test_word_to_json_schema():
     assert [w["gd"] for w in out["word"]] == [[3, 8], [3, 8]]
     assert out["word"][0]["base_change"] == [[1, 0], [0, 1]]
     assert out["word"][1]["base_change"] == [[1, 4], [0, -1]]
-    assert {"gd", "target", "base_change"} <= set(out["word"][0])
+    assert {"gd", "target", "base_change", "abc"} <= set(out["word"][0])
+    for step, rec in zip(out["word"], (s.record for s in word.steps)):
+        assert step["abc"] == [rec.a, rec.b, rec.c]
 
 
 abc = st.tuples(st.integers(1, 60), st.integers(1, 12), st.integers(1, 60))

@@ -47,6 +47,9 @@ def argvs() -> list[tuple[str, ...]]:
         ("pell", "--b", "1", "--c", "-2", "--n", "-2"),
         ("pell", "--r", "0", "--n", "8"),
         ("pell", "--r", "17", "--n", "8", "--bound", "0"),
+        ("classify", "--r", "17", "--b", "8", "--c", "1"),
+        ("curve-class", "--r", "17", "--b", "8", "--c", "1", "--genus", "2", "--degree", "8"),
+        ("pell", "--r", "17", "--b", "8", "--c", "1", "--n", "8"),
         ("link",),
         ("link", "--genus", "14", "--degree", "11"),
         ("link", "--genus", "7", "--degree", "7"),

@@ -95,6 +95,26 @@ def test_class_with_square_exists_zero_and_errors():
         class_with_square_exists(QuarticLattice(1, -2), 3)
 
 
+def test_nonzero_square_zero_class_matches_small_y_search():
+    # oracle: the first congruent x = ±t*y over y = 1..4, +t before -t
+    def first_hit(b, t):
+        for y in range(1, 5):
+            for x in (t * y, -t * y):
+                if (x - b * y) % 4 == 0:
+                    return ((x - b * y) // 4, y)
+        return None
+
+    models = 0
+    for t in range(3, 45):
+        for b in range(-12, 13):
+            if (b * b - t * t) % 8:
+                continue
+            L = QuarticLattice(b, (b * b - t * t) // 8)
+            assert class_with_square_exists(L, 0, nonzero=True) == first_hit(b, t), (b, t)
+            models += 1
+    assert models > 300
+
+
 @given(st.sampled_from(ALL_R), st.sampled_from([-2, 0, 2, 4, 6, -4]))
 def test_class_with_square_exists_is_sound(r, k):
     L = QuarticLattice(*canonical_bc(r))
