@@ -54,9 +54,10 @@ def gluing_ok(L: surf.QuarticLattice, m: Mat) -> bool:
     return False
 
 
-def torelli_ok(L: surf.QuarticLattice, m: Mat) -> bool:
-    """True iff m sends the polarization H to an ample class."""
-    return surf.is_ample(L, mat_col(m, 0))
+def torelli_ok(L: surf.QuarticLattice, m: Mat, walls: list[Vec] | None = None) -> bool:
+    """True iff m sends the polarization H to an ample class (walls as in
+    surface.is_ample)."""
+    return surf.is_ample(L, mat_col(m, 0), walls)
 
 
 def involution_form(L: surf.QuarticLattice, alpha: int, beta: int) -> Mat | None:
@@ -162,8 +163,8 @@ def generators_for(L: surf.QuarticLattice, tag: str, axes: list[Vec]) -> list[Ma
                 % (tag, expected, len(axes))
             )
         return [reflection(L, A) for A in axes]
-    # tag == "Z"
-    return [_gluing_power(L)[0]]
+    # tag == "Z": no (-2)-class exists, so no wall cuts the positive cone
+    return [_gluing_power(L, [])[0]]
 
 
 def minimal_gluing_exponent(L: surf.QuarticLattice) -> int:
@@ -171,9 +172,10 @@ def minimal_gluing_exponent(L: surf.QuarticLattice) -> int:
     return _gluing_power(L)[1]
 
 
-def _gluing_power(L: surf.QuarticLattice) -> tuple[Mat, int]:
+def _gluing_power(L: surf.QuarticLattice, walls: list[Vec] | None = None) -> tuple[Mat, int]:
     """(h^k, k) for the least k >= 1 at which the minimal hyperbolic element
-    h satisfies both descent criteria.
+    h satisfies both descent criteria; walls are the chamber walls, found
+    here once when not given.
 
     gluing_ok(h^k) depends only on h^k mod det Q and holds once h^k ≡ I, so
     the loop is finite: the first such k bounds it.
@@ -182,9 +184,10 @@ def _gluing_power(L: surf.QuarticLattice) -> tuple[Mat, int]:
     h = infinite_order_form(L, alpha, beta)
     if h is None:
         raise RuntimeError("minimal conic solution lost integrality; scan bug")
+    walls = surf._chamber_walls(L) if walls is None else walls
     det = abs(L.base.det())
     hk, k = h, 1
-    while not (gluing_ok(L, hk) and torelli_ok(L, hk)):
+    while not (gluing_ok(L, hk) and torelli_ok(L, hk, walls)):
         if all(e % det == 0 for e in (hk[0][0] - 1, hk[0][1], hk[1][0], hk[1][1] - 1)):
             raise RuntimeError(
                 "h^%d is the identity mod |det Q| = %d and still fails descent; "

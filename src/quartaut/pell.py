@@ -3,12 +3,15 @@
 Two routes are deliberately kept apart:
 
 * ``has_solution``/``solve`` is a genuine decision procedure. For nonsquare r
-  it runs the PQa continued-fraction expansion of sqrt(r) and the classical
-  class-by-class search (one PQa run per square root z of r modulo |m|, for
-  each factor m = n/f^2). Primitive solutions satisfy gcd(y, m) = 1, so every
-  class is hit by some z; imprimitive solutions are f times a primitive
-  solution of the m-equation. For square r = t^2 the equation factors as
-  (x - t*y)(x + t*y) = n and divisor enumeration is exhaustive.
+  it runs the PQa continued-fraction expansion of sqrt(r) and the LMM
+  class-by-class search (Robertson, "Solving the generalized Pell equation
+  x^2 - Dy^2 = N", 2004): for each factor m = n/f^2 and each square root z
+  of r modulo |m|, one PQa run stopped at the first Q_i = ±1 gives the
+  fundamental solution of that class, or shows it has none. Primitive
+  solutions satisfy gcd(y, m) = 1, so every class is hit by some z;
+  imprimitive solutions are f times a primitive solution of the m-equation.
+  For square r = t^2 the equation factors as (x - t*y)(x + t*y) = n and
+  divisor enumeration is exhaustive.
 * ``solutions_up_to`` is a brute-force scan, exhaustive within a |y| bound.
   It exists so tests can compare the decision procedure against an
   independent enumeration; it must stay naive.
@@ -33,13 +36,6 @@ def is_square(r: int) -> bool:
     return t * t == r
 
 
-def _floor_quot(P: int, Q: int, sd: int) -> int:
-    # floor((P + sqrt(D))/Q) for irrational sqrt(D), sd = isqrt(D), exactly.
-    if Q > 0:
-        return (P + sd) // Q
-    return (-P - sd - 1) // (-Q)
-
-
 def _pqa(P0: int, Q0: int, D: int):
     """Yield (i, Q_i, G_{i-1}, B_{i-1}) for i = 1, 2, ... until the state cycles.
 
@@ -53,7 +49,8 @@ def _pqa(P0: int, Q0: int, D: int):
     bm2, bm1 = 1, 0
     seen = {(P, Q)}
     for i in range(1, _PQA_CAP):
-        a = _floor_quot(P, Q, sd)
+        # a = floor((P + sqrt(D))/Q), exact since sqrt(D) is irrational
+        a = (P + sd) // Q if Q > 0 else (-P - sd - 1) // (-Q)
         g = a * gm1 + gm2
         b = a * bm1 + bm2
         P = a * Q - P
@@ -90,7 +87,11 @@ def fundamental_solution(D: int) -> Vec:
 
 def _lmm_reps(D: int, N: int) -> list[Vec]:
     """Solution representatives of x^2 - D*y^2 = N, at least one per class
-    under the automorph group (and negation). D > 0 nonsquare, N != 0."""
+    under the automorph group (and negation). D > 0 nonsquare, N != 0.
+
+    Each root z yields at most its first hit: later Q_i = ±1 in the same run
+    give the same class times a unit. A hit of the wrong sign gives a
+    solution only through a solution of x^2 - D*y^2 = -1."""
     _, _, neg = _unit_data(D)
     reps: list[Vec] = []
     f = 1
@@ -107,9 +108,10 @@ def _lmm_reps(D: int, N: int) -> list[Vec]:
                     v = Q * am if i % 2 == 0 else -Q * am
                     if v == m:
                         reps.append((f * g, f * b))
-                    elif v == -m and neg is not None:
+                    elif neg is not None:
                         a1, b1 = neg
                         reps.append((f * (g * a1 + b * b1 * D), f * (g * b1 + b * a1)))
+                    break
         f += 1
     return reps
 
@@ -177,12 +179,8 @@ def solution_class_reps(r: int, n: int) -> list[Vec]:
         raise ValueError("class representatives are only defined for n != 0")
     if is_square(r):
         return _square_solutions(isqrt(r), n)
-    raw = _lmm_reps(r, n)
-    # widen with sign variants (conjugate classes), then dedupe by orbit.
-    # (-x, -y) and (-x, y) add no orbit that (x, y) and (x, -y) miss, but
-    # they stay: the first-seen order follows sorted(pool), so trimming them
-    # would reorder the output (and move classify's obstruction on r = 108).
-    pool = {v for x, y in raw for v in ((x, y), (-x, -y), (x, -y), (-x, y))}
+    # each representative and its conjugate, one per ± pair, deduped by orbit
+    pool = {min(v, (-v[0], -v[1])) for x, y in _lmm_reps(r, n) for v in ((x, y), (x, -y))}
     t, u, _ = _unit_data(r)
     out: list[Vec] = []
     seen: set[Vec] = set()

@@ -312,19 +312,21 @@ def _least_degree_each_side(L: QuarticLattice, starts: list[Vec]) -> list[Vec]:
     return sorted((D for _, D in best.values()), key=lambda D: _pell_key(L, D))
 
 
-def _chamber_walls(L: QuarticLattice) -> list[Vec]:
+def _chamber_walls(L: QuarticLattice, neg2: list[Vec] | None = None) -> list[Vec]:
     """The effective (-2)-classes whose walls bound the ample chamber: the
-    nearest wall on each side of H, i.e. the least degree on each side."""
-    return _least_degree_each_side(L, neg2_wall_orbits(L))
+    nearest wall on each side of H, i.e. the least degree on each side.
+    neg2, when given, is _classes_of_square(L, -2)."""
+    return _least_degree_each_side(L, _classes_of_square(L, -2) if neg2 is None else neg2)
 
 
-def is_ample(L: QuarticLattice, A: Vec) -> bool:
+def is_ample(L: QuarticLattice, A: Vec, walls: list[Vec] | None = None) -> bool:
     """Exact ampleness: A.H > 0, A^2 > 0, and A pairs strictly positively
-    with every effective (-2)-class, i.e. with both chamber walls."""
+    with every effective (-2)-class, i.e. with both chamber walls (walls,
+    when given, are _chamber_walls(L))."""
     return (
         L.dot(H, A) > 0
         and L.dot(A, A) > 0
-        and all(L.dot(A, w) > 0 for w in _chamber_walls(L))
+        and all(L.dot(A, w) > 0 for w in (_chamber_walls(L) if walls is None else walls))
     )
 
 
@@ -348,9 +350,10 @@ def _ample_representative(L: QuarticLattice, A: Vec, walls: list[Vec]) -> Vec:
             return A
 
 
-def ample_square2_axes(L: QuarticLattice) -> list[Vec]:
+def ample_square2_axes(L: QuarticLattice, walls: list[Vec] | None = None) -> list[Vec]:
     """The distinguished ample square-2 classes, sorted by _pell_key.
-    Empty when no congruent square-2 class exists.
+    Empty when no congruent square-2 class exists. walls, when given, are
+    _chamber_walls(L).
 
     With effective (-2)-classes present the ample chamber is cut out by
     its two walls and every congruent Pell orbit reflects into it. With no
@@ -363,7 +366,7 @@ def ample_square2_axes(L: QuarticLattice) -> list[Vec]:
     reps = _classes_of_square(L, 2)
     if not reps:
         return []
-    walls = _chamber_walls(L)
+    walls = _chamber_walls(L) if walls is None else walls
     if not walls:
         return _least_degree_each_side(L, reps)
     axes = {_ample_representative(L, D, walls) for D in reps}
@@ -378,11 +381,16 @@ def classify_aut(L: QuarticLattice) -> AutKind:
     or rational curves). P2: some ample class has square 2.
     P1 and not P2 -> Trivial; P1 and P2 -> Z2; not P1 and P2 -> Z2starZ2
     (two involutions, free product); neither -> Z. The witnesses of P1 and
-    P2 come back as the record's obstruction and axes.
+    P2 come back as the record's obstruction and axes. The (-2)-classes are
+    read once and give both the obstruction and the chamber walls.
     """
-    obstruction = class_with_square_exists(L, 0, nonzero=True) \
-        or class_with_square_exists(L, -2)
-    axes = ample_square2_axes(L)
+    obstruction = class_with_square_exists(L, 0, nonzero=True)
+    walls = None
+    if obstruction is None:
+        neg2 = _classes_of_square(L, -2)
+        obstruction = neg2[0] if neg2 else None
+        walls = _chamber_walls(L, neg2)
+    axes = ample_square2_axes(L, walls)
     if obstruction:
         tag = "Z2" if axes else "Trivial"
     else:

@@ -144,7 +144,7 @@ def suite_antiflip() -> list[Check]:
         Check("runtime", dt < 30.0, f"{dt:.2f}s" if dt >= 30.0 else ""),
     ]
     line = [w for w in report.witnesses if w.frame_class() == (3, -1)]
-    out.append(Check("line witness 3H-C", bool(line), "no witness maps to 3H - C"))
+    out.append(Check("line witness 3H-C", bool(line), "" if line else "no witness maps to 3H - C"))
     if line:
         w, (x, y) = line[0], (3, -1)
         lsq = 4 * x * x + 2 * w.d * x * y + (2 * w.pa - 2) * y * y

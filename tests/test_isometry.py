@@ -162,7 +162,7 @@ def test_gluing_power_beyond_paper_range():
 
 def test_gluing_power_failure_names_its_bound(monkeypatch):
     # h^24 is the first power of the r = 48 element that is I mod |det Q| = 48
-    monkeypatch.setattr(isometry, "torelli_ok", lambda L, m: False)
+    monkeypatch.setattr(isometry, "torelli_ok", lambda L, m, walls=None: False)
     L48, _ = curve_model(48)
     with pytest.raises(RuntimeError, match=r"h\^24 is the identity mod \|det Q\| = 48"):
         isometry.minimal_gluing_exponent(L48)

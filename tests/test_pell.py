@@ -84,6 +84,30 @@ def test_square_r_reps_are_every_solution():
                 assert sorted(got) == sorted(pell.solutions_up_to(t * t, n, abs(n))), (t, n)
 
 
+def _same_class(r, n, s, v):
+    """Classical test: s and v lie in one <automorph, -1>-orbit iff
+    (s1*v1 - r*s2*v2)/n and (s1*v2 - v1*s2)/n are integers."""
+    return (s[0] * v[0] - r * s[1] * v[1]) % n == 0 and (s[0] * v[1] - v[0] * s[1]) % n == 0
+
+
+def test_class_reps_cover_every_orbit():
+    """Every solution with |y| <= B lies in exactly one listed class, for
+    nonsquare r <= 150 and 0 < |n| <= 64. B exceeds Nagell's bound
+    u*sqrt(|n|)/sqrt(2(t - 1)) on the least |y| in a class, (t, u) the
+    fundamental unit, so a class the list misses would show here."""
+    for r in range(2, 151):
+        if pell.is_square(r):
+            continue
+        t, u = pell.fundamental_solution(r)
+        for n in range(-64, 65):
+            bound = isqrt(u * u * abs(n) // (2 * (t - 1))) + 1
+            if n == 0 or bound > 20_000:
+                continue
+            reps = pell.solution_class_reps(r, n)
+            for s in pell.solutions_up_to(r, n, bound):
+                assert sum(_same_class(r, n, s, v) for v in reps) == 1, (r, n, s, reps)
+
+
 def _brute(r, n, bound=10_000):
     """First solution with 0 <= y <= bound, scanning outward; None if none."""
     for y in range(bound + 1):

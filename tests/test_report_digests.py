@@ -82,7 +82,7 @@ def test_reports_match_recorded_digests():
     got = digests()
     assert sorted(got) == sorted(want)
     moved = [k for k in got if got[k] != want[k]]
-    assert not moved, f"{len(moved)} reports changed, first: {moved[:5]}"
+    assert not moved, f"{len(moved)} reports changed: {moved}"
 
 
 if __name__ == "__main__":

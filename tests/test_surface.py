@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quartaut import pell
 from quartaut.isometry import reflection
 from quartaut.lattice import IDENTITY, mat_mul, mat_vec
 from quartaut.surface import (
@@ -251,6 +252,21 @@ def test_classify_aut_returns_the_witnesses_that_decide_its_tag():
         assert kind.axes == tuple(ample_square2_axes(L)), r
         if kind.tag in ("Z2", "Z2starZ2"):
             assert kind.generators == tuple(reflection(L, A) for A in kind.axes), r
+
+
+def test_classify_asks_each_pell_question_once(monkeypatch):
+    """One classify_aut on every canonical model with 9 <= r <= 260 asks
+    pell.solution_class_reps at most once per (r, n): the (-2)-classes give
+    the obstruction, the chamber walls and the ampleness test of h^k."""
+    asked, real = [], pell.solution_class_reps
+    monkeypatch.setattr(pell, "solution_class_reps",
+                        lambda D, n: asked.append((D, n)) or real(D, n))
+    for r in range(9, 261):
+        if r % 8 not in (0, 1, 4):
+            continue
+        asked.clear()
+        classify_aut(QuarticLattice(*canonical_bc(r)))
+        assert len(asked) == len(set(asked)), (r, asked)
 
 
 def test_hyperplane_is_ample():
