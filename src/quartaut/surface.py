@@ -262,14 +262,6 @@ def automorph(L: QuarticLattice) -> Mat:
     return ((t - L.b * u, -2 * L.c * u), (4 * u, t + L.b * u))
 
 
-def neg2_wall_orbits(L: QuarticLattice) -> list[Vec]:
-    """Effective-wall generators: one class per automorph-and-sign orbit of
-    classes with square -2 (for square r, the full finite list), each with
-    its effective sign."""
-    return list(dict.fromkeys(_normalize_effective(L.b, D)
-                              for D in _classes_of_square(L, -2)))
-
-
 def _pell_key(L: QuarticLattice, D: Vec) -> tuple[int, int, int]:
     """The order in which classes are listed: (|y|, y, D.H)."""
     return abs(D[1]), D[1], L.dot(H, D)
@@ -312,11 +304,10 @@ def _least_degree_each_side(L: QuarticLattice, starts: list[Vec]) -> list[Vec]:
     return sorted((D for _, D in best.values()), key=lambda D: _pell_key(L, D))
 
 
-def _chamber_walls(L: QuarticLattice, neg2: list[Vec] | None = None) -> list[Vec]:
+def _chamber_walls(L: QuarticLattice) -> list[Vec]:
     """The effective (-2)-classes whose walls bound the ample chamber: the
-    nearest wall on each side of H, i.e. the least degree on each side.
-    neg2, when given, is _classes_of_square(L, -2)."""
-    return _least_degree_each_side(L, _classes_of_square(L, -2) if neg2 is None else neg2)
+    nearest wall on each side of H, i.e. the least degree on each side."""
+    return _least_degree_each_side(L, _classes_of_square(L, -2))
 
 
 def is_ample(L: QuarticLattice, A: Vec, walls: list[Vec] | None = None) -> bool:
@@ -389,7 +380,7 @@ def classify_aut(L: QuarticLattice) -> AutKind:
     if obstruction is None:
         neg2 = _classes_of_square(L, -2)
         obstruction = neg2[0] if neg2 else None
-        walls = _chamber_walls(L, neg2)
+        walls = _least_degree_each_side(L, neg2)
     axes = ample_square2_axes(L, walls)
     if obstruction:
         tag = "Z2" if axes else "Trivial"
