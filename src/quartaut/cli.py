@@ -148,6 +148,8 @@ def cmd_pell(args) -> tuple[dict, int]:
     r = args.r if args.b is None else args.b * args.b - 8 * args.c
     if r is None or r <= 0:
         return {"error": "a positive discriminant is required"}, EXIT_BAD_INPUT
+    if args.bound is not None and args.bound < 1:
+        return {"error": "--bound must be at least 1"}, EXIT_BAD_INPUT
     witness = pell.solve(r, args.n)
     results = {
         "equation": f"x^2 - {r} y^2 = {args.n}",
@@ -157,8 +159,6 @@ def cmd_pell(args) -> tuple[dict, int]:
     if args.n != 0:
         results["orbit_representatives"] = [list(s) for s in pell.solution_class_reps(r, args.n)]
     if args.bound is not None:
-        if args.bound < 1:
-            return {"error": "--bound must be at least 1"}, EXIT_BAD_INPUT
         results["solutions_up_to_bound"] = [
             list(s) for s in pell.solutions_up_to(r, args.n, args.bound)
         ]
@@ -259,12 +259,7 @@ def cmd_antiflip(args) -> tuple[dict, int]:
         "solvable": sorted(list(p) for p in report.solvable),
         "configurations": report.configurations,
         "witnesses": [
-            {
-                "pa": w.pa, "d": w.d, "b": w.b, "c": w.c,
-                "gamma": w.gamma, "delta": w.delta,
-                "alpha": w.alpha, "beta": w.beta,
-                "frame_class": list(w.frame_class()) if w.frame_class() else None,
-            }
+            {**w._asdict(), "frame_class": list(fc) if (fc := w.frame_class()) else None}
             for w in report.witnesses
         ],
     }, EXIT_OK

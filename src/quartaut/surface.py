@@ -11,7 +11,8 @@ r = b^2 - 8c. Everything downstream keys off r:
   positive cone is a hyperbolic line, so that chamber is an interval bounded
   by at most two walls, one on each side of H; the distance from H to the
   wall of delta grows with H.delta, so on each side the wall of least degree
-  is the nearest one (_chamber_walls);
+  is the nearest one. It is read at the least-|y| class of its automorph
+  orbit or at a neighbour of that class (_chamber_walls);
 * the automorphism group of a general surface with this Picard lattice is
   one of: trivial, Z/2, Z/2 * Z/2 (free product), or Z, decided by which
   class squares occur (classify_aut).
@@ -272,36 +273,23 @@ def _least_degree_each_side(L: QuarticLattice, starts: list[Vec]) -> list[Vec]:
     of least degree D.H with y < 0 and the one with y > 0 (each normalized
     effective), sorted by _pell_key; at most two classes.
 
-    For square r the starts are the whole finite set. For nonsquare r they
-    are one per automorph orbit, and each orbit is walked both ways: along
-    it the normalized y changes sign once, and the degree falls toward that
-    flip and rises after it, so past the flip with the degree nondecreasing
-    nothing smaller comes.
+    For square r the starts are the whole finite set. For nonsquare r each
+    start must be the least-|y| point of its automorph orbit, as
+    _classes_of_square gives them. Along an orbit the normalized y changes
+    sign once, and on each side the degree D.H = x grows with |y|, since
+    x^2 = 4k + r*y^2. So the least degree on a side lies at the orbit's
+    minimum or at its neighbour across the flip, and D, T*D and T^-1*D
+    (T the automorph) are all that need reading.
     """
-    walks: tuple[tuple[Mat, int], ...] = ()
+    steps: tuple[Mat, ...] = ()
     if not pell.is_square(L.r):
         T = automorph(L)
-        walks = ((T, 1), (mat_inv_unimodular(T), -1))
-    best: dict[int, tuple[int, Vec]] = {}
-
-    def keep(D: Vec) -> tuple[int, int]:
-        d, side = L.dot(H, D), (1 if D[1] > 0 else -1)
-        if side not in best or (d, D) < best[side]:
-            best[side] = (d, D)
-        return d, side
-
-    for start in starts:
-        first = _normalize_effective(L.b, start)
-        first_d, _ = keep(first)
-        for M, stop_side in walks:
-            D, prev_d = first, first_d
-            while True:
-                D = _normalize_effective(L.b, mat_vec(M, D))
-                d, side = keep(D)
-                if side == stop_side and d >= prev_d:
-                    break
-                prev_d = d
-    return sorted((D for _, D in best.values()), key=lambda D: _pell_key(L, D))
+        steps = (T, mat_inv_unimodular(T))
+    cands = [_normalize_effective(L.b, D)
+             for s in starts for D in (s, *(mat_vec(M, s) for M in steps))]
+    sides = ([D for D in cands if D[1] <= 0], [D for D in cands if D[1] > 0])
+    least = (min(side, key=lambda D: (L.dot(H, D), D)) for side in sides if side)
+    return sorted(least, key=lambda D: _pell_key(L, D))
 
 
 def _chamber_walls(L: QuarticLattice) -> list[Vec]:

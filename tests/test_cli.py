@@ -114,6 +114,16 @@ def test_pell_bad_inputs(capsys):
     assert code == 2
 
 
+def test_pell_refuses_a_bad_bound_before_solving(capsys, monkeypatch):
+    def solve(r, n):
+        raise AssertionError("pell.solve ran before --bound was checked")
+
+    monkeypatch.setattr(pell, "solve", solve)
+    code, rep = run_json(capsys, "pell", "--r", "1999", "--n", "999983", "--bound", "0")
+    assert code == 2
+    assert rep["results"]["error"] == "--bound must be at least 1"
+
+
 def test_curve_class_report(capsys):
     code, rep = run_json(capsys, "curve-class", "--r", "56", "--genus", "2",
                          "--degree", "8")

@@ -1,9 +1,11 @@
 """Class existence, the genus/degree dictionary, and the Aut classifier."""
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quartaut import pell
+from quartaut import pell, surface
 from quartaut.isometry import reflection
 from quartaut.lattice import IDENTITY, mat_mul, mat_vec
 from quartaut.surface import (
@@ -297,6 +299,44 @@ def test_is_ample_matches_brute_force():
     assert not mismatches, mismatches[:5]
     # the (-2)-class (1, -1) of QuarticLattice(3, 0) cuts (2, -1) off
     assert not is_ample(QuarticLattice(3, 0), (2, -1))
+
+
+def _least_y_each_side(L, k, box):
+    """The normalized class of square k with least |y| <= box on each side
+    of H, by trying y = ±1, ±2, ...: r*y^2 + 4k = x^2 with x > 0 and
+    x ≡ b*y (mod 4) gives D = ((x - b*y)/4, y) with D.H = x."""
+    found = []
+    for side in (-1, 1):
+        for y in range(side, side * (box + 1), side):
+            v = L.r * y * y + 4 * k
+            x = isqrt(max(v, 0))
+            if x and x * x == v and (x - L.b * y) % 4 == 0:
+                found.append(((x - L.b * y) // 4, y))
+                break
+    return found
+
+
+def test_walls_and_axes_match_least_y_search():
+    """Every model with b < 8 and 9 <= r <= 600, square r included: within
+    |y| <= 100 the chamber walls are the least-|y| (-2)-classes on each side
+    of H, and with no walls on nonsquare r so are the square-2 axes. On a
+    side the degree grows with |y|, so least |y| is least degree."""
+    box = 100
+    mismatches = []
+    for b in range(8):
+        for r in range(9, 601):
+            if (r - b * b) % 8:
+                continue
+            L = QuarticLattice(b, (b * b - r) // 8)
+            walls = surface._chamber_walls(L)
+            checks = [(-2, walls)]
+            if not walls and not pell.is_square(r):
+                checks.append((2, ample_square2_axes(L)))
+            for k, got in checks:
+                inside = sorted(D for D in got if abs(D[1]) <= box)
+                if inside != sorted(_least_y_each_side(L, k, box)):
+                    mismatches.append((b, r, k, got))
+    assert not mismatches, mismatches[:5]
 
 
 def _models_for(r, shifts=(0, 1, -1, 2, -2, 3)):
