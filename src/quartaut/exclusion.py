@@ -39,7 +39,6 @@ MODEL_PAIRS = frozenset({
 DISC_BOUND = 57
 
 _DEGREE_CAP = 16
-_CONFIG_CAP = 233
 _FORBIDDEN_DISCS = frozenset({1, 4, 8})
 
 
@@ -156,20 +155,20 @@ def _cells() -> list[tuple[int, int]]:
 
 
 def _cell_solutions(pa: int, d: int, counter: list[int] | None = None) -> list[AntiflipSolution]:
-    """All integer solutions of the anti-flip system for one (p_a, d)."""
+    """All integer solutions of the anti-flip system for one (p_a, d).
+
+    A cell has 0 <= 8*p_a <= d^2 and d < _DEGREE_CAP, so its curve
+    discriminant rp = d^2 - 8(p_a - 1) lies in [8, (_DEGREE_CAP - 1)^2 + 8],
+    that is rp <= 233. gamma^2 divides rp, so |gamma| <= sqrt(rp) <= 15.
+    With r = rp / gamma^2 = b^2 - 8c, the term (rp - gamma^2 * b^2) / (4*gamma)
+    of k is exactly -2c * gamma."""
     rp = d * d - 8 * (pa - 1)
-    if not 0 < rp <= _CONFIG_CAP:
-        raise RuntimeError(f"curve discriminant {rp} escapes the derived bound")
     found = []
-    for gamma in range(-15, 16):
-        if gamma == 0:
+    g = isqrt(rp)
+    for gamma in range(-g, g + 1):
+        if gamma == 0 or rp % (gamma * gamma):
             continue
-        gsq = gamma * gamma
-        if gsq > _CONFIG_CAP:
-            raise RuntimeError(f"gamma^2 = {gsq} escapes the derived bound")
-        if rp % gsq:
-            continue
-        r = rp // gsq
+        r = rp // (gamma * gamma)
         if r in _FORBIDDEN_DISCS:
             continue
         for b in range(1, 16):
@@ -179,10 +178,7 @@ def _cell_solutions(pa: int, d: int, counter: list[int] | None = None) -> list[A
             if (d - b * gamma) % 4:
                 continue
             delta = (d - b * gamma) // 4
-            num = rp - gsq * b * b
-            if num % (4 * gamma):
-                continue
-            k = b * (4 - delta) + num // (4 * gamma)
+            k = b * (4 - delta) - 2 * c * gamma
             e = 16 - d
             if counter is not None:
                 counter[0] += 1

@@ -11,8 +11,8 @@ isometry descends from an actual automorphism of the surface:
 Involutions of the lattice that fix no ample class come in the one-parameter
 family involution_form; infinite-order isometries are powers of a minimal
 hyperbolic element built from the conic c*a^2 - b*a*t + 2*t^2 = c
-(minimal_quadeq_solution). aut_generators assembles the generator list that
-classify_aut reports.
+(minimal_quadeq_solution). generators_for builds the generator list inside
+surface.classify_aut; aut_generators reads it back.
 """
 from __future__ import annotations
 

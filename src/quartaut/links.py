@@ -129,26 +129,22 @@ def _step_candidates(gd: tuple[int, int], cur_gd: tuple[int, int], ambient: str)
     return out
 
 
-def _as_link_shape(m: Mat) -> tuple[int, int, int] | None:
-    """(a, b, c) if m has the exact link-matrix shape, else None."""
-    a, b, c = m[0][0], -m[1][0], -m[1][1]
-    if min(a, b, c) < 1:
-        return None
-    if (a * c - 1) % b or m[0][1] != (a * c - 1) // b:
-        return None
-    return a, b, c
-
-
 def _synthesize_return(rec1: LinkRecord, m1: Mat, target: Mat) -> LinkStep | None:
     """Return leg of a two-step word through X5: solve for the second matrix
-    and accept it only if it has the link shape. The leg starts from the
-    flopped curve's data gd_plus, which either base change keeps."""
+    m2 and accept it only if LinkRecord accepts its (a, b, c) and the
+    record's link_matrix is m2. The leg starts from the flopped curve's
+    data gd_plus, which either base change keeps."""
     gd = rec1.gd_plus
     rest = mat_mul(mat_inv_unimodular(m1), target)
     for B2 in _step_candidates(gd, gd, rec1.target):
-        shape = _as_link_shape(conjugate(rest, B2))
-        if shape is not None:
-            return LinkStep(LinkRecord(gd, "P3", gd, *shape, source=rec1.target), B2)
+        m2 = conjugate(rest, B2)
+        try:
+            rec2 = LinkRecord(gd, "P3", gd, m2[0][0], -m2[1][0], -m2[1][1],
+                              source=rec1.target)
+        except ValueError:
+            continue
+        if link_matrix(rec2) == m2:
+            return LinkStep(rec2, B2)
     return None
 
 
@@ -161,32 +157,29 @@ def realize_generator(L: surf.QuarticLattice, target: Mat) -> LinkWord | None:
     before length 2; catalog order; identity before the swapped base change.
     """
     rows = catalog()
-    eligible = []
+    # (row, base change, conjugated matrix) for every step that may open a word
+    firsts = []
     for rec in rows:
         C = surf.find_curve_class(L, rec.gd)
         if C is not None and abs(C[1]) == 1:
-            eligible.append(rec)
-    for rec in eligible:
-        if rec.target != "P3":
-            continue
-        for B in _step_candidates(rec.gd, rec.gd, rec.source):
-            if conjugate(link_matrix(rec), B) == target:
-                return LinkWord((LinkStep(rec, B),))
-    for rec1 in eligible:
-        for B1 in _step_candidates(rec1.gd, rec1.gd, rec1.source):
-            m1 = conjugate(link_matrix(rec1), B1)
-            if rec1.target == "P3":
-                for rec2 in rows:
-                    if rec2.source != "P3" or rec2.target != "P3":
-                        continue
-                    for B2 in _step_candidates(rec2.gd, rec1.gd_plus, rec1.target):
-                        m2 = conjugate(link_matrix(rec2), B2)
-                        if mat_mul(m1, m2) == target:
-                            return LinkWord((LinkStep(rec1, B1), LinkStep(rec2, B2)))
-            else:
-                step2 = _synthesize_return(rec1, m1, target)
-                if step2 is not None:
-                    return LinkWord((LinkStep(rec1, B1), step2))
+            firsts += [(rec, B, conjugate(link_matrix(rec), B))
+                       for B in _step_candidates(rec.gd, rec.gd, rec.source)]
+    for rec, B, m in firsts:
+        if rec.target == "P3" and m == target:
+            return LinkWord((LinkStep(rec, B),))
+    for rec1, B1, m1 in firsts:
+        if rec1.target == "P3":
+            for rec2 in rows:
+                if rec2.source != "P3" or rec2.target != "P3":
+                    continue
+                for B2 in _step_candidates(rec2.gd, rec1.gd_plus, rec1.target):
+                    m2 = conjugate(link_matrix(rec2), B2)
+                    if mat_mul(m1, m2) == target:
+                        return LinkWord((LinkStep(rec1, B1), LinkStep(rec2, B2)))
+        else:
+            step2 = _synthesize_return(rec1, m1, target)
+            if step2 is not None:
+                return LinkWord((LinkStep(rec1, B1), step2))
     return None
 
 

@@ -64,6 +64,11 @@ def _pqa(P0: int, Q0: int, D: int):
     raise RuntimeError("PQa expansion did not cycle within the iteration cap")
 
 
+def _mul(v: Vec, w: Vec, D: int) -> Vec:
+    """(x1 + y1*sqrt(D)) * (x2 + y2*sqrt(D)) as (x, y)."""
+    return (v[0] * w[0] + D * v[1] * w[1], v[0] * w[1] + v[1] * w[0])
+
+
 @lru_cache(maxsize=None)
 def _unit_data(D: int) -> tuple[int, int, Vec | None]:
     """(t, u, neg) with t^2 - D*u^2 = 1 fundamental and neg a fundamental
@@ -73,7 +78,7 @@ def _unit_data(D: int) -> tuple[int, int, Vec | None]:
             if i % 2 == 0:
                 return g, b, None
             # odd period: (g, b) solves x^2 - D y^2 = -1
-            return g * g + D * b * b, 2 * g * b, (g, b)
+            return (*_mul((g, b), (g, b), D), (g, b))
     raise RuntimeError("no unit found; input was not a positive nonsquare")
 
 
@@ -105,12 +110,11 @@ def _lmm_reps(D: int, N: int) -> list[Vec]:
                 for i, Q, g, b in _pqa(z, am, D):
                     if Q not in (1, -1):
                         continue
-                    v = Q * am if i % 2 == 0 else -Q * am
-                    if v == m:
-                        reps.append((f * g, f * b))
+                    s = (f * g, f * b)
+                    if (Q * am if i % 2 == 0 else -Q * am) == m:
+                        reps.append(s)
                     elif neg is not None:
-                        a1, b1 = neg
-                        reps.append((f * (g * a1 + b * b1 * D), f * (g * b1 + b * a1)))
+                        reps.append(_mul(s, neg, D))
                     break
         f += 1
     return reps
@@ -170,8 +174,8 @@ def has_solution(r: int, n: int, nonzero_y: bool = False) -> bool:
 def solution_class_reps(r: int, n: int) -> list[Vec]:
     """One representative per automorph-and-negation class of solutions.
 
-    Used by the wall enumeration in the surface module; for square r the
-    solution set itself is finite and returned whole.
+    surface._classes_of_square reads the classes of a square off these;
+    for square r the solution set itself is finite and returned whole.
     """
     if r <= 0:
         raise ValueError("r must be a positive integer")
@@ -194,17 +198,10 @@ def solution_class_reps(r: int, n: int) -> list[Vec]:
 
 def _orbit_canonical(s: Vec, D: int, t: int, u: int) -> Vec:
     """Canonical representative of the <automorph, -1>-orbit of a solution."""
-
-    def step(v: Vec) -> Vec:
-        return (t * v[0] + D * u * v[1], u * v[0] + t * v[1])
-
-    def back(v: Vec) -> Vec:
-        return (t * v[0] - D * u * v[1], -u * v[0] + t * v[1])
-
     cur = s
     # |y| diverges in both orbit directions; descend to the minimum
     while True:
-        f, b = step(cur), back(cur)
+        f, b = _mul(cur, (t, u), D), _mul(cur, (t, -u), D)
         if abs(f[1]) < abs(cur[1]):
             cur = f
         elif abs(b[1]) < abs(cur[1]):
@@ -212,8 +209,8 @@ def _orbit_canonical(s: Vec, D: int, t: int, u: int) -> Vec:
         else:
             break
     cands = {cur, (-cur[0], -cur[1])}
-    # a neighbour can tie on |y|
-    for v in (step(cur), back(cur)):
+    # a neighbour of the minimum can tie on |y|
+    for v in (f, b):
         if abs(v[1]) == abs(cur[1]):
             cands.update({v, (-v[0], -v[1])})
     return min(cands)

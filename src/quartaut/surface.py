@@ -331,8 +331,10 @@ def _ample_representative(L: QuarticLattice, A: Vec, walls: list[Vec]) -> Vec:
 
 def ample_square2_axes(L: QuarticLattice, walls: list[Vec] | None = None) -> list[Vec]:
     """The distinguished ample square-2 classes, sorted by _pell_key.
-    Empty when no congruent square-2 class exists. walls, when given, are
-    _chamber_walls(L).
+    Empty when no congruent square-2 class exists, and so on every square
+    r = t^2 (t >= 3, as 1 and 4 are forbidden): x^2 - t^2*y^2 = 8 needs
+    x - ty and x + ty even with product 8, so 2ty = ±2. walls, when given,
+    are _chamber_walls(L).
 
     With effective (-2)-classes present the ample chamber is cut out by
     its two walls and every congruent Pell orbit reflects into it. With no
@@ -340,8 +342,6 @@ def ample_square2_axes(L: QuarticLattice, walls: list[Vec] | None = None) -> lis
     reflection group are the two classes of least degree, one on each side
     of H (y < 0 and y > 0 after normalizing A.H > 0).
     """
-    if pell.is_square(L.r):
-        return []
     reps = _classes_of_square(L, 2)
     if not reps:
         return []

@@ -92,6 +92,10 @@ def test_antiflip_witnesses_are_lines_meeting_the_curve():
 def test_antiflip_cells_cover_the_degree_range():
     cells = exclusion._cells()
     assert all(0 < d < 16 and 0 <= pa and 8 * pa <= d * d for pa, d in cells)
+    # the curve discriminant bound that _cell_solutions' gamma range rests on
+    top = (exclusion._DEGREE_CAP - 1) ** 2 + 8
+    assert top == 233
+    assert all(8 <= d * d - 8 * (pa - 1) <= top for pa, d in cells)
     assert (15, 11) in cells
     assert len(set(cells)) == len(cells)
 
