@@ -17,9 +17,7 @@ surface.classify_aut; aut_generators reads it back.
 from __future__ import annotations
 
 from . import surface as surf
-from .lattice import Mat, Vec, mat_mul, mat_transpose
-
-_W: Vec = (0, 1)
+from .lattice import Mat, Vec, mat_mul, mat_transpose, reflection_in
 
 _QUADEQ_HARD_CAP = 1_000_000
 
@@ -140,14 +138,7 @@ def reflection(L: surf.QuarticLattice, A: Vec) -> Mat:
     """Reflection x -> (A.x)A - x along a class with A^2 = 2."""
     if L.dot(A, A) != 2:
         raise ValueError("reflection axis must have self-intersection 2")
-    c0 = _reflect(L, A, surf.H)
-    c1 = _reflect(L, A, _W)
-    return ((c0[0], c1[0]), (c0[1], c1[1]))
-
-
-def _reflect(L: surf.QuarticLattice, A: Vec, x: Vec) -> Vec:
-    p = L.dot(A, x)
-    return (p * A[0] - x[0], p * A[1] - x[1])
+    return reflection_in(L.base, A)
 
 
 def generators_for(L: surf.QuarticLattice, tag: str, axes: list[Vec]) -> list[Mat]:

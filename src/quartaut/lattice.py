@@ -51,6 +51,17 @@ def pairing(L: GramLattice, u: Vec, v: Vec) -> int:
     )
 
 
+def reflection_in(L: GramLattice, v: Vec) -> Mat:
+    """Matrix of x -> 2(x.v)/(v.v) v - x, which fixes v and negates its
+    orthogonal complement; ValueError when it is not integral."""
+    vv = pairing(L, v, v)
+    n0, n1 = 2 * pairing(L, (1, 0), v), 2 * pairing(L, (0, 1), v)
+    if vv == 0 or n0 % vv or n1 % vv:
+        raise ValueError("the reflection in %r is not integral" % (v,))
+    k0, k1 = n0 // vv, n1 // vv
+    return ((k0 * v[0] - 1, k1 * v[0]), (k0 * v[1], k1 * v[1] - 1))
+
+
 def discriminant(L: GramLattice) -> int:
     """disc(L) = -det(Q)."""
     return -L.det()

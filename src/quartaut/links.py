@@ -3,7 +3,9 @@
 Each catalog row records a birational self-link of P3 (or a link to the
 quintic del Pezzo threefold X5) initiated by blowing up a smooth curve of
 genus g and degree d lying on a quartic surface. Its action on the rank-2
-frame {H, C} of the surface is the matrix ((a, (ac-1)/b), (-b, -c)).
+frame {H, C} of the surface is the matrix ((a, (ac-1)/b), (-b, -c)). A
+P3 self-link acts as the reflection in 4H - C, so its (a, b, c) is derived
+from (g, d); only the X5 row, whose matrix has trace 6, is data.
 
 Words chain links with changes of curve basis B = ((1, lam), (0, -1))
 (self-inverse) between steps; the composite is the product of the
@@ -15,7 +17,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import surface as surf
-from .lattice import IDENTITY, Mat, Vec, mat_det, mat_inv_unimodular, mat_mul
+from .lattice import GramLattice, IDENTITY, Mat, mat_inv_unimodular, mat_mul, reflection_in
 
 _AMBIENT_SQUARE = {"P3": 4, "X5": 10}
 
@@ -49,16 +51,24 @@ class LinkWord(NamedTuple):
     steps: tuple[LinkStep, ...]
 
 
+def frame(ambient: str, gd: tuple[int, int]) -> GramLattice:
+    """Gram matrix of the frame {H, C} for a (g, d)-curve C on a quartic
+    surface in `ambient`: H^2 = 4 on P3 and 10 on X5, H.C = d, C^2 = 2g - 2."""
+    g, d = gd
+    return GramLattice(_AMBIENT_SQUARE[ambient], d, 2 * g - 2)
+
+
+def _p3_row(g: int, d: int) -> LinkRecord:
+    """The P3 self-link of a (g, d)-curve: the reflection in 4H - C."""
+    m = reflection_in(frame("P3", (g, d)), (4, -1))
+    return LinkRecord((g, d), "P3", (g, d), m[0][0], -m[1][0], -m[1][1])
+
+
 _CATALOG = (
-    LinkRecord((14, 11), "P3", (14, 11), 19, 5, 19),
-    LinkRecord((6, 9), "P3", (6, 9), 27, 7, 27),
-    LinkRecord((10, 10), "P3", (10, 10), 23, 6, 23),
-    LinkRecord((2, 8), "P3", (2, 8), 31, 8, 31),
-    LinkRecord((11, 10), "P3", (11, 10), 11, 3, 11),
-    LinkRecord((3, 6), "P3", (3, 6), 3, 1, 3),
-    LinkRecord((5, 8), "P3", (5, 8), 7, 2, 7),
+    _p3_row(14, 11), _p3_row(6, 9), _p3_row(10, 10), _p3_row(2, 8),
+    _p3_row(11, 10), _p3_row(3, 6), _p3_row(5, 8),
     LinkRecord((4, 8), "X5", (4, 10), 11, 3, 5),
-    LinkRecord((3, 8), "P3", (3, 8), 15, 4, 15),
+    _p3_row(3, 8),
 )
 
 
@@ -85,9 +95,7 @@ def base_change(lam: int) -> Mat:
 
 
 def conjugate(m: Mat, B: Mat) -> Mat:
-    """B m B^{-1}; B must be unimodular."""
-    if mat_det(B) not in (1, -1):
-        raise ValueError("base-change matrix must be unimodular")
+    """B m B^{-1}; ValueError unless B is unimodular."""
     return mat_mul(mat_mul(B, m), mat_inv_unimodular(B))
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from . import exclusion, isometry, links, pell
 from . import surface as surf
-from .lattice import Mat, mat_det, mat_mul, mat_transpose
+from .lattice import Mat, change_basis, mat_det, pairing
 
 EXPECTED_PARTITION = {
     9: "Trivial", 12: "Trivial", 16: "Trivial", 24: "Trivial", 25: "Trivial",
@@ -146,9 +146,8 @@ def suite_antiflip() -> list[Check]:
     line = [w for w in report.witnesses if w.frame_class() == (3, -1)]
     out.append(Check("line witness 3H-C", bool(line), "" if line else "no witness maps to 3H - C"))
     if line:
-        w, (x, y) = line[0], (3, -1)
-        lsq = 4 * x * x + 2 * w.d * x * y + (2 * w.pa - 2) * y * y
-        out.append(_check("line pairing", (lsq, 4 * x + w.d * y), (-2, 1)))
+        F, ell = links.frame("P3", (line[0].pa, line[0].d)), (3, -1)
+        out.append(_check("line pairing", (pairing(F, ell, ell), pairing(F, surf.H, ell)), (-2, 1)))
     return out
 
 
@@ -168,12 +167,8 @@ def suite_realization() -> list[Check]:
     for rec in links.catalog():
         m = links.link_matrix(rec)
         out.append(_check(f"det {rec.gd}", mat_det(m), -1))
-        g0, d0 = rec.gd
-        g1, d1 = rec.gd_plus
-        src = ((4, d0), (d0, 2 * g0 - 2))
-        dst = ((4 if rec.target == "P3" else 10, d1), (d1, 2 * g1 - 2))
-        got = mat_mul(mat_transpose(m), mat_mul(src, m))
-        out.append(_check(f"form {rec.gd}", got, dst))
+        got = change_basis(links.frame(rec.source, rec.gd), m).lattice
+        out.append(_check(f"form {rec.gd}", got, links.frame(rec.target, rec.gd_plus)))
     for name, steps, want in COMPOSE_TABLE:
         try:
             got = links.compose_word(_word_from_table(steps))

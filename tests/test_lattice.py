@@ -12,6 +12,7 @@ from quartaut.lattice import (
     mat_mul,
     mat_pow,
     pairing,
+    reflection_in,
 )
 
 L17 = GramLattice(4, 11, 26)
@@ -22,6 +23,11 @@ def test_pairing_reads_gram_entries():
     assert pairing(L17, (1, 0), (0, 1)) == 11
     assert pairing(L17, (0, 1), (0, 1)) == 26
     assert pairing(L17, (4, -1), (4, -1)) == 2
+    # the reflection in v reads its columns off the pairings with v; it
+    # fixes v for any square and is refused when not integral
+    assert reflection_in(GramLattice(4, 6, 4), (4, -1)) == ((3, 8), (-1, -3))
+    with pytest.raises(ValueError):
+        reflection_in(GramLattice(4, 1, -4), (1, 0))  # 2(W.H)/H^2 = 1/2
 
 
 def test_discriminant_examples():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quartaut import isometry, links
-from quartaut.lattice import GramLattice, IDENTITY, mat_det, mat_mul, pairing
+from quartaut.lattice import GramLattice, IDENTITY, mat_det, mat_mul, mat_vec, pairing
 from quartaut.surface import QuarticLattice, classify_aut, curve_model, genus_degree
 
 CATALOG_ROWS = [
@@ -136,6 +136,17 @@ def test_realize_single_link_cases():
         assert word.steps[0].record.gd == gd
         assert word.steps[0].change == IDENTITY
         assert links.compose_word(word) == gen
+    # every single-link generator is the reflection in v = 4H - C', where
+    # C' = B(0, 1) is the curve its step blows up, and v is a reflection axis
+    for r in (17, 41, 28, 56):
+        L, _ = curve_model(r)
+        aut = classify_aut(L)
+        for gen in aut.generators:
+            (step,) = links.realize_generator(L, gen).steps
+            cx, cy = mat_vec(step.change, (0, 1))
+            v = (4 - cx, -cy)
+            assert v in aut.axes
+            assert isometry.reflection(L, v) == gen
 
 
 def test_realize_involution_pairs():
