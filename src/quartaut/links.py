@@ -10,14 +10,17 @@ from (g, d); only the X5 row, whose matrix has trace 6, is data.
 Words chain links with changes of curve basis B = ((1, lam), (0, -1))
 (self-inverse) between steps; the composite is the product of the
 conjugated step matrices in step order. realize_generator searches words of
-length at most two whose composite equals a given generator matrix.
+length at most two, built from catalog rows and the X5 row run backwards,
+whose composite equals a given generator matrix; each step's B must turn
+the current frame into the Gram of its row's source frame.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
 from . import surface as surf
-from .lattice import GramLattice, IDENTITY, Mat, mat_inv_unimodular, mat_mul, reflection_in
+from .lattice import (GramLattice, IDENTITY, Mat, change_basis, mat_inv_unimodular, mat_mul,
+                      reflection_in)
 
 _AMBIENT_SQUARE = {"P3": 4, "X5": 10}
 
@@ -117,77 +120,63 @@ def compose_word(word: LinkWord) -> Mat:
     return acc
 
 
-def _step_candidates(gd: tuple[int, int], cur_gd: tuple[int, int], ambient: str) -> list[Mat]:
-    """Base changes that turn a frame whose current curve has data cur_gd
-    into one whose curve has data gd: identity when the data already match,
-    and the swap C' = lam*H - C with lam fixed by degree and checked
-    against genus."""
-    h2 = _AMBIENT_SQUARE[ambient]
-    out = []
-    if gd == cur_gd:
-        out.append(IDENTITY)
-    g0, d0 = cur_gd
-    num = gd[1] + d0
-    if num % h2 == 0:
-        lam = num // h2
-        if lam != 0:
-            csq = lam * lam * h2 - 2 * lam * d0 + (2 * g0 - 2)
-            if csq == 2 * gd[0] - 2:
-                out.append(base_change(lam))
+def _step_candidates(cur: GramLattice, want: GramLattice) -> list[Mat]:
+    """Base changes B with B^T cur B = want: the identity when the frames
+    already agree, and the swap C' = lam*H - C with lam fixed by H.C' and
+    checked against C'^2."""
+    out = [IDENTITY] if cur == want else []
+    num = want.q12 + cur.q12
+    if cur.q11 == want.q11 and num % cur.q11 == 0:
+        lam = num // cur.q11
+        if lam != 0 and lam * lam * cur.q11 - 2 * lam * cur.q12 + cur.q22 == want.q22:
+            out.append(base_change(lam))
     return out
 
 
-def _synthesize_return(rec1: LinkRecord, m1: Mat, target: Mat) -> LinkStep | None:
-    """Return leg of a two-step word through X5: solve for the second matrix
-    m2 and accept it only if LinkRecord accepts its (a, b, c) and the
-    record's link_matrix is m2. The leg starts from the flopped curve's
-    data gd_plus, which either base change keeps."""
-    gd = rec1.gd_plus
-    rest = mat_mul(mat_inv_unimodular(m1), target)
-    for B2 in _step_candidates(gd, gd, rec1.target):
-        m2 = conjugate(rest, B2)
-        try:
-            rec2 = LinkRecord(gd, "P3", gd, m2[0][0], -m2[1][0], -m2[1][1],
-                              source=rec1.target)
-        except ValueError:
-            continue
-        if link_matrix(rec2) == m2:
-            return LinkStep(rec2, B2)
-    return None
+def _reversed(rec: LinkRecord) -> LinkRecord:
+    """The return leg of a link, read off its row: the inverse matrix after
+    the curve swap lam = 2d/H^2 on each side, source then target."""
+    swaps = [base_change(2 * d // _AMBIENT_SQUARE[ambient])
+             for ambient, (_, d) in ((rec.source, rec.gd), (rec.target, rec.gd_plus))]
+    m = mat_mul(mat_inv_unimodular(link_matrix(rec)), mat_mul(*swaps))
+    return LinkRecord(rec.gd_plus, rec.source, rec.gd, m[0][0], -m[1][0], -m[1][1],
+                      source=rec.target)
+
+
+# (row, Gram of its source frame): every row may open a word; the P3
+# self-links and the return legs of the links to X5 may close one.
+_OPENERS = tuple((rec, frame(rec.source, rec.gd)) for rec in _CATALOG)
+_CLOSERS = tuple((rec, frame(rec.source, rec.gd)) for rec in (
+    *(rec for rec in _CATALOG if rec.target == "P3"),
+    *(_reversed(rec) for rec in _CATALOG if rec.target != "P3"),
+))
 
 
 def realize_generator(L: surf.QuarticLattice, target: Mat) -> LinkWord | None:
     """First word of length <= 2 whose composite equals `target`.
 
-    A catalog row may open a word only if a curve with its (g, d) exists on
-    L and spans, together with H, the whole lattice (the class has second
-    coordinate ±1). Words must start and end on P3. Search order: length 1
-    before length 2; catalog order; identity before the swapped base change.
+    Each step is a catalog row, or the X5 row run backwards, taken in the
+    basis B in {I, base_change(lam)} that turns the current frame into the
+    Gram of the row's source frame; B is unimodular, so the step's curve
+    B(0, 1) spans L together with H. The first frame is {H, W}, and a step
+    with conjugated matrix m moves the frame Q to m^T Q m. Words start and
+    end on P3. Search order: length 1 before length 2; catalog order;
+    identity before the swapped base change.
     """
-    rows = catalog()
-    # (row, base change, conjugated matrix) for every step that may open a word
-    firsts = []
-    for rec in rows:
-        C = surf.find_curve_class(L, rec.gd)
-        if C is not None and abs(C[1]) == 1:
-            firsts += [(rec, B, conjugate(link_matrix(rec), B))
-                       for B in _step_candidates(rec.gd, rec.gd, rec.source)]
+    base = L.base
+    firsts = [(rec, B, conjugate(link_matrix(rec), B))
+              for rec, want in _OPENERS for B in _step_candidates(base, want)]
     for rec, B, m in firsts:
         if rec.target == "P3" and m == target:
             return LinkWord((LinkStep(rec, B),))
     for rec1, B1, m1 in firsts:
-        if rec1.target == "P3":
-            for rec2 in rows:
-                if rec2.source != "P3" or rec2.target != "P3":
-                    continue
-                for B2 in _step_candidates(rec2.gd, rec1.gd_plus, rec1.target):
-                    m2 = conjugate(link_matrix(rec2), B2)
-                    if mat_mul(m1, m2) == target:
-                        return LinkWord((LinkStep(rec1, B1), LinkStep(rec2, B2)))
-        else:
-            step2 = _synthesize_return(rec1, m1, target)
-            if step2 is not None:
-                return LinkWord((LinkStep(rec1, B1), step2))
+        cur = change_basis(base, m1).lattice
+        for rec2, want in _CLOSERS:
+            if rec2.source != rec1.target:
+                continue
+            for B2 in _step_candidates(cur, want):
+                if mat_mul(m1, conjugate(link_matrix(rec2), B2)) == target:
+                    return LinkWord((LinkStep(rec1, B1), LinkStep(rec2, B2)))
     return None
 
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quartaut import isometry, links
-from quartaut.lattice import GramLattice, IDENTITY, mat_det, mat_mul, mat_vec, pairing
+from quartaut.lattice import (GramLattice, IDENTITY, change_basis, mat_det, mat_inv_unimodular,
+                              mat_mul, mat_vec, pairing)
 from quartaut.surface import QuarticLattice, classify_aut, curve_model, genus_degree
 
 CATALOG_ROWS = [
@@ -119,7 +120,7 @@ def test_compose_word_rejects_bad_chains():
         links.compose_word(_word((x5, IDENTITY), (x5, IDENTITY)))
     with pytest.raises(ValueError):
         links.compose_word(links.LinkWord(()))
-    # a synthesized X5-source step cannot open a word
+    # a step that starts on X5, like the X5 row's return leg, cannot open a word
     ret = links.LinkRecord((5, 8), "P3", (5, 8), 5, 3, 5, source="X5")
     with pytest.raises(ValueError):
         links.compose_word(_word((ret, IDENTITY)))
@@ -190,23 +191,59 @@ def test_realize_through_x5():
     first, second = word.steps
     assert first.record.gd == (4, 8) and first.record.target == "X5"
     assert second.record.source == "X5" and second.record.target == "P3"
+    assert second.record.gd == (4, 10) and second.record.gd_plus == (4, 8)
     assert (second.record.a, second.record.b, second.record.c) == (5, 3, 5)
     assert links.link_matrix(second.record) == ((5, 8), (-3, -5))
+    # the return leg is the X5 row run backwards, after the curve swaps
+    # lam = 2d/H^2 on the P3 side (16/4) and on the X5 side (20/10)
+    x_inv = mat_inv_unimodular(links.link_matrix(first.record))
+    want = mat_mul(x_inv, mat_mul(links.base_change(4), links.base_change(2)))
+    assert links.link_matrix(second.record) == want
     assert second.change == links.base_change(2)
     assert links.compose_word(word) == gen
 
 
+def _replays_on_frames(L, word):
+    """Replay a word with change_basis alone: before each step the frame
+    in the step's basis is the Gram (H^2, d, 2g - 2) of its record's source;
+    the step then moves the frame by its conjugated matrix."""
+    G = L.base
+    for step in word.steps:
+        rec, B = step.record, step.change
+        g, d = rec.gd
+        h2 = 4 if rec.source == "P3" else 10
+        if change_basis(G, B).lattice != GramLattice(h2, d, 2 * g - 2):
+            return False
+        m = mat_mul(mat_mul(B, links.link_matrix(rec)), mat_inv_unimodular(B))
+        G = change_basis(G, m).lattice
+    return True
+
+
+FRAME_RS = (17, 20, 28, 32, 40, 41, 48, 56)
+
+
 def test_realize_all_generators_with_short_words():
-    for r in (17, 41, 28, 56, 20, 32, 40, 48):
-        L, _ = curve_model(r)
+    models = {(b, (b * b - r) // 8) for r in FRAME_RS for b in range(-12, 13)
+              if (b * b - r) % 8 == 0}
+    curve_models = {curve_model(r)[0] for r in FRAME_RS}
+    words = {}
+    for b, c in sorted(models):
+        L = QuarticLattice(b, c)
         for gen in classify_aut(L).generators:
-            word = links.realize_generator(L, gen)
-            assert word is not None, r
+            word = words[b, c, gen] = links.realize_generator(L, gen)
+            if word is None:
+                assert (b, c) not in curve_models, (b, c)
+                continue
             assert len(word.steps) <= 2
             assert links.compose_word(word) == gen
             # every word starts and ends on P3
             assert word.steps[0].record.source == "P3"
             assert word.steps[-1].record.target == "P3"
+            assert _replays_on_frames(L, word), (b, c, word)
+    assert len(words) == 77
+    # the canonical r = 17 model blows up the curve 3H - W
+    (steps,) = [w.steps for (b, c, _), w in words.items() if (b, c) == (1, -2)]
+    assert [(s.record.gd, s.change) for s in steps] == [((14, 11), links.base_change(3))]
 
 
 def test_curve_data_transport_at_56():
