@@ -92,11 +92,14 @@ def minimal_quadeq_solution(L: surf.QuarticLattice) -> Vec:
     """Smallest positive (alpha, beta) solving c*a^2 - b*a*t + 2*t^2 = c whose
     infinite-order form is integral with positive trace.
 
+    The form is integral exactly when c | 2*beta and c | b*beta, that is when
+    sigma = |c|/gcd(c, 2, b) divides beta, so the scan steps |beta| by sigma.
     The class-vector automorph of the fundamental Pell solution (t, u) lies in
-    the same family with beta = 2|c|u, so the scan below is complete once beta
-    reaches that bound; a hard cap guards against misuse.
+    the same family with beta = 2|c|u, so the scan is complete once |beta|
+    reaches that bound; a hard cap on |beta| (not on the number of candidates
+    tried) guards against misuse.
     """
-    from math import isqrt
+    from math import gcd, isqrt
 
     from . import pell
 
@@ -107,12 +110,11 @@ def minimal_quadeq_solution(L: surf.QuarticLattice) -> Vec:
         raise ValueError("no infinite-order isometry exists for square discriminant")
     _, u = pell.fundamental_solution(r)
     bound = min(2 * abs(c) * u, _QUADEQ_HARD_CAP)
-    for size in range(1, bound + 1):
+    sigma = abs(c) // gcd(c, 2, b)
+    for size in range(sigma, bound + 1, sigma):
         # the expanding solution has beta > 0 when b > 0 and beta < 0 when
         # b < 0 (mirror models swap the sign), so try both
         for beta in (size, -size):
-            if (2 * beta) % c or (b * beta) % c:
-                continue
             # a = (b*beta ± s) / (2c) with s^2 = r*beta^2 + 4c^2
             s2 = r * beta * beta + 4 * c * c
             s = isqrt(s2)
@@ -173,8 +175,6 @@ def _gluing_power(L: surf.QuarticLattice, walls: list[Vec] | None = None) -> tup
     """
     alpha, beta = minimal_quadeq_solution(L)
     h = infinite_order_form(L, alpha, beta)
-    if h is None:
-        raise RuntimeError("minimal conic solution lost integrality; scan bug")
     walls = surf._chamber_walls(L) if walls is None else walls
     det = abs(L.base.det())
     hk, k = h, 1

@@ -7,7 +7,9 @@ Two routes are deliberately kept apart:
   class-by-class search (Robertson, "Solving the generalized Pell equation
   x^2 - Dy^2 = N", 2004): for each factor m = n/f^2 and each square root z
   of r modulo |m|, one PQa run stopped at the first Q_i = ±1 gives the
-  fundamental solution of that class, or shows it has none. Primitive
+  fundamental solution of that class, or shows it has none. The roots are
+  found in ± pairs: z0 runs over 0 <= z0 <= |m|/2 (only z0 ≡ r mod 2 when
+  |m| is even) and each root z0 gives the runs for z0 and -z0. Primitive
   solutions satisfy gcd(y, m) = 1, so every class is hit by some z;
   imprimitive solutions are f times a primitive solution of the m-equation.
   For square r = t^2 the equation factors as (x - t*y)(x + t*y) = n and
@@ -94,9 +96,12 @@ def _lmm_reps(D: int, N: int) -> list[Vec]:
     """Solution representatives of x^2 - D*y^2 = N, at least one per class
     under the automorph group (and negation). D > 0 nonsquare, N != 0.
 
-    Each root z yields at most its first hit: later Q_i = ±1 in the same run
-    give the same class times a unit. A hit of the wrong sign gives a
-    solution only through a solution of x^2 - D*y^2 = -1."""
+    The square roots z of D modulo |m| come in ± pairs, so z0 scans
+    0 <= z0 <= |m|/2, with step 2 from D mod 2 when |m| is even (z^2 ≡ D
+    mod 2 forces z ≡ D mod 2), and each root runs PQa on z0 and on -z0, once
+    when 2*z0 ≡ 0 mod |m|. Each root z yields at most its first hit: later
+    Q_i = ±1 in the same run give the same class times a unit. A hit of the
+    wrong sign gives a solution only through a solution of x^2 - D*y^2 = -1."""
     _, _, neg = _unit_data(D)
     reps: list[Vec] = []
     f = 1
@@ -104,18 +109,20 @@ def _lmm_reps(D: int, N: int) -> list[Vec]:
         if N % (f * f) == 0:
             m = N // (f * f)
             am = abs(m)
-            for z in range(-((am - 1) // 2), am // 2 + 1):
-                if (z * z - D) % am:
+            step = 2 if am % 2 == 0 else 1
+            for z0 in range(D % step, am // 2 + 1, step):
+                if (z0 * z0 - D) % am:
                     continue
-                for i, Q, g, b in _pqa(z, am, D):
-                    if Q not in (1, -1):
-                        continue
-                    s = (f * g, f * b)
-                    if (Q * am if i % 2 == 0 else -Q * am) == m:
-                        reps.append(s)
-                    elif neg is not None:
-                        reps.append(_mul(s, neg, D))
-                    break
+                for z in (z0, -z0) if (2 * z0) % am else (z0,):
+                    for i, Q, g, b in _pqa(z, am, D):
+                        if Q not in (1, -1):
+                            continue
+                        s = (f * g, f * b)
+                        if (Q * am if i % 2 == 0 else -Q * am) == m:
+                            reps.append(s)
+                        elif neg is not None:
+                            reps.append(_mul(s, neg, D))
+                        break
         f += 1
     return reps
 

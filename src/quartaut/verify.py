@@ -4,7 +4,8 @@ Eight suites re-derive the package's frozen data from scratch: the
 automorphism partition of the admissible discriminants, the Pell witness
 table, the curve-bearing models, the printed generator matrices, the
 minimal conic solutions with their gluing exponents, the discriminant
-exclusion, the anti-flip exhaustion, and the link-word realizations.
+exclusion, the anti-flip exhaustion, and the link-word realizations,
+each word replayed on its frames.
 
 Each check is recorded with a name and a detail string so a failure
 surfaces its first counterexample directly.
@@ -162,6 +163,20 @@ def _word_from_table(steps) -> links.LinkWord:
     return links.LinkWord(tuple(built))
 
 
+def _frame_error(L: surf.QuarticLattice, word: links.LinkWord) -> str:
+    """Replay a word on its frames: before each step the frame in the step's
+    basis must be its record's source frame, and the step then moves the
+    frame by its conjugated matrix. Names the first step that fails, or ""."""
+    G = L.base
+    for n, step in enumerate(word.steps, 1):
+        rec, B = step.record, step.change
+        got, want = change_basis(G, B).lattice, links.frame(rec.source, rec.gd)
+        if got != want:
+            return f"step {n} ({rec.source} {rec.gd}) starts on frame {got!r}, expected {want!r}"
+        G = change_basis(G, links.conjugate(links.link_matrix(rec), B)).lattice
+    return ""
+
+
 def suite_realization() -> list[Check]:
     out = []
     for rec in links.catalog():
@@ -184,6 +199,10 @@ def suite_realization() -> list[Check]:
                 out.append(Check(f"realize r={r} #{i}", False, "no word found"))
                 continue
             out.append(_check(f"word length r={r} #{i}", len(word.steps) <= 2, True))
+            bad = _frame_error(L, word)
+            if bad:
+                out.append(Check(f"realize r={r} #{i}", False, bad))
+                continue
             out.append(_check(f"realize r={r} #{i}", links.compose_word(word), g))
     return out
 

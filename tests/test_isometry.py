@@ -1,4 +1,6 @@
 """Isometry checks, descent criteria, and the printed generator matrices."""
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +70,46 @@ def test_minimal_quadeq_solutions():
     assert isometry.minimal_quadeq_solution(curve_model(32)[0]) == (7, 4)
     assert isometry.minimal_quadeq_solution(curve_model(48)[0]) == (4, 1)
     assert isometry.minimal_quadeq_solution(curve_model(40)[0]) == (43, 18)
+
+
+def _conic_oracle(b, c, r, limit=400):
+    """Unit-step scan over 1 <= |beta| <= limit that tests integrality of the
+    infinite-order form at every beta."""
+    for size in range(1, limit + 1):
+        for beta in (size, -size):
+            if (2 * beta) % c or (b * beta) % c:
+                continue
+            s2 = r * beta * beta + 4 * c * c
+            s = isqrt(s2)
+            if s * s != s2:
+                continue
+            for root in (b * beta + s, b * beta - s):
+                if root % (2 * c):
+                    continue
+                alpha = root // (2 * c)
+                if alpha > 0 and c * (2 * alpha * c - b * beta) > 0:
+                    return alpha, beta
+    return None
+
+
+def test_minimal_quadeq_matches_unit_step_oracle():
+    # the scan steps |beta| by |c|/gcd(c, 2, b); wherever the unit-step
+    # oracle finds a solution the scan must find the same one
+    found = 0
+    for b in range(-8, 9):
+        for r in range(9, 401):
+            # r nonsquare, so c != 0
+            if (b * b - r) % 8 or isqrt(r) ** 2 == r:
+                continue
+            c = (b * b - r) // 8
+            sol = _conic_oracle(b, c, r)
+            if sol is None:
+                continue
+            L = QuarticLattice(b, c)
+            assert isometry.minimal_quadeq_solution(L) == sol, (b, c)
+            assert isometry.infinite_order_form(L, *sol) is not None, (b, c)
+            found += 1
+    assert found == 327
 
 
 def test_minimal_quadeq_rejects_square_disc():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quartaut import isometry, links
+from quartaut import isometry, links, verify
 from quartaut.lattice import (GramLattice, IDENTITY, change_basis, mat_det, mat_inv_unimodular,
                               mat_mul, mat_vec, pairing)
 from quartaut.surface import QuarticLattice, classify_aut, curve_model, genus_degree
@@ -244,6 +244,25 @@ def test_realize_all_generators_with_short_words():
     # the canonical r = 17 model blows up the curve 3H - W
     (steps,) = [w.steps for (b, c, _), w in words.items() if (b, c) == (1, -2)]
     assert [(s.record.gd, s.change) for s in steps] == [((14, 11), links.base_change(3))]
+
+
+def test_verify_paper_names_the_first_step_off_its_frame(monkeypatch):
+    realize = links.realize_generator
+
+    def second_step_unswapped(L, target):
+        word = realize(L, target)
+        if word is None or len(word.steps) < 2:
+            return word
+        first, second = word.steps
+        return links.LinkWord((first, second._replace(change=IDENTITY)))
+
+    monkeypatch.setattr(links, "realize_generator", second_step_unswapped)
+    checks = {c.name: c for c in verify.suite_realization()}
+    # the r = 20 word closes with the (3, 6) self-link after the swap 4H - C
+    bad = checks["realize r=20 #1"]
+    assert not bad.ok
+    assert bad.detail.startswith("step 2 (P3 (3, 6)) starts on frame")
+    assert checks["realize r=17 #1"].ok
 
 
 def test_curve_data_transport_at_56():
