@@ -180,12 +180,12 @@ def realize_generator(L: surf.QuarticLattice, target: Mat) -> LinkWord | None:
     return None
 
 
-def word_to_json(word: LinkWord, target: Mat | None = None) -> dict:
+def word_to_json(word: LinkWord, target: Mat) -> dict:
     """Serialize a word with its composite, each step with its record's gd,
-    target and abc and its base change; includes the match flag when a
-    generator matrix is supplied."""
+    target and abc and its base change, and whether the composite matches
+    the generator matrix target."""
     comp = compose_word(word)
-    out = {
+    return {
         "word": [
             {
                 "gd": list(step.record.gd),
@@ -196,7 +196,5 @@ def word_to_json(word: LinkWord, target: Mat | None = None) -> dict:
             for step in word.steps
         ],
         "composite": [list(row) for row in comp],
+        "matches_generator": comp == target,
     }
-    if target is not None:
-        out["matches_generator"] = comp == target
-    return out

@@ -2,18 +2,20 @@
 
 Two routes are deliberately kept apart:
 
-* ``has_solution``/``solve`` is a genuine decision procedure. For nonsquare r
-  it runs the PQa continued-fraction expansion of sqrt(r) and the LMM
-  class-by-class search (Robertson, "Solving the generalized Pell equation
-  x^2 - Dy^2 = N", 2004): for each factor m = n/f^2 and each square root z
-  of r modulo |m|, one PQa run stopped at the first Q_i = ±1 gives the
-  fundamental solution of that class, or shows it has none. The roots are
-  found in ± pairs: z0 runs over 0 <= z0 <= |m|/2 (only z0 ≡ r mod 2 when
-  |m| is even) and each root z0 gives the runs for z0 and -z0. Primitive
-  solutions satisfy gcd(y, m) = 1, so every class is hit by some z;
-  imprimitive solutions are f times a primitive solution of the m-equation.
-  For square r = t^2 the equation factors as (x - t*y)(x + t*y) = n and
-  divisor enumeration is exhaustive.
+* ``solution_class_reps`` is the one decision route; ``solve`` and
+  ``has_solution`` read their answer off it. For nonsquare r it runs the
+  PQa continued-fraction expansion of sqrt(r) and the LMM class-by-class
+  search (Robertson, "Solving the generalized Pell equation x^2 - Dy^2 = N",
+  2004): for each factor m = n/f^2 and each square root z0 of r modulo |m|
+  with 0 <= z0 <= |m|/2 (only z0 ≡ r mod 2 when |m| is even), one PQa run
+  stopped at the first Q_i = ±1 gives the fundamental solution of that
+  class, or shows it has none. The root -z0 is not run: its classes are the
+  conjugates (x, -y) of the z0 classes, which ``solution_class_reps`` pools
+  before it canonicalizes each orbit. Primitive solutions satisfy
+  gcd(y, m) = 1, so every class is hit by some root; imprimitive solutions
+  are f times a primitive solution of the m-equation. For square r = t^2
+  the equation factors as (x - t*y)(x + t*y) = n and divisor enumeration is
+  exhaustive.
 * ``solutions_up_to`` is a brute-force scan, exhaustive within a |y| bound.
   It exists so tests can compare the decision procedure against an
   independent enumeration; it must stay naive.
@@ -94,12 +96,13 @@ def fundamental_solution(D: int) -> Vec:
 
 def _lmm_reps(D: int, N: int) -> list[Vec]:
     """Solution representatives of x^2 - D*y^2 = N, at least one per class
-    under the automorph group (and negation). D > 0 nonsquare, N != 0.
+    under the automorph group, negation and conjugation (x, y) -> (x, -y).
+    D > 0 nonsquare, N != 0.
 
-    The square roots z of D modulo |m| come in ± pairs, so z0 scans
-    0 <= z0 <= |m|/2, with step 2 from D mod 2 when |m| is even (z^2 ≡ D
-    mod 2 forces z ≡ D mod 2), and each root runs PQa on z0 and on -z0, once
-    when 2*z0 ≡ 0 mod |m|. Each root z yields at most its first hit: later
+    The square roots z of D modulo |m| come in ± pairs, and PQa runs on z0
+    only, for 0 <= z0 <= |m|/2 with step 2 from D mod 2 when |m| is even
+    (z^2 ≡ D mod 2 forces z ≡ D mod 2); the classes of -z0 are the
+    conjugates of those of z0. Each run yields at most its first hit: later
     Q_i = ±1 in the same run give the same class times a unit. A hit of the
     wrong sign gives a solution only through a solution of x^2 - D*y^2 = -1."""
     _, _, neg = _unit_data(D)
@@ -113,16 +116,15 @@ def _lmm_reps(D: int, N: int) -> list[Vec]:
             for z0 in range(D % step, am // 2 + 1, step):
                 if (z0 * z0 - D) % am:
                     continue
-                for z in (z0, -z0) if (2 * z0) % am else (z0,):
-                    for i, Q, g, b in _pqa(z, am, D):
-                        if Q not in (1, -1):
-                            continue
-                        s = (f * g, f * b)
-                        if (Q * am if i % 2 == 0 else -Q * am) == m:
-                            reps.append(s)
-                        elif neg is not None:
-                            reps.append(_mul(s, neg, D))
-                        break
+                for i, Q, g, b in _pqa(z0, am, D):
+                    if Q not in (1, -1):
+                        continue
+                    s = (f * g, f * b)
+                    if (Q * am if i % 2 == 0 else -Q * am) == m:
+                        reps.append(s)
+                    elif neg is not None:
+                        reps.append(_mul(s, neg, D))
+                    break
         f += 1
     return reps
 
@@ -148,11 +150,12 @@ def _square_solutions(t: int, N: int) -> list[Vec]:
     return sorted(out)
 
 
-def solve(r: int, n: int, nonzero_y: bool = False) -> Vec | None:
+def solve(r: int, n: int) -> Vec | None:
     """A witness (x, y) with x^2 - r*y^2 = n, or None when none exists.
 
-    The trivial (0, 0) never counts as a witness for n = 0. With nonzero_y
-    the witness must have y != 0 (a nonzero class off the H-axis).
+    The witness is (sqrt(n), 0) for square n > 0, and otherwise the least
+    (|y|, |x|) over solution_class_reps(r, n). The trivial (0, 0) never
+    counts as a witness for n = 0.
     """
     if r <= 0:
         raise ValueError("r must be a positive integer")
@@ -161,25 +164,20 @@ def solve(r: int, n: int, nonzero_y: bool = False) -> Vec | None:
         if is_square(r):
             return (isqrt(r), 1)
         return None
-    if not nonzero_y and n > 0 and is_square(n):
+    if n > 0 and is_square(n):
         return (isqrt(n), 0)
-    if is_square(r):
-        sols = [s for s in _square_solutions(isqrt(r), n) if s[1] or not nonzero_y]
-    else:
-        # every class representative has y >= 1, so nonzero_y is already satisfied
-        sols = _lmm_reps(r, n)
-    if not sols:
-        return None
-    return min(((abs(x), abs(y)) for x, y in sols), key=lambda s: (s[1], s[0]))
+    return min(((abs(x), abs(y)) for x, y in solution_class_reps(r, n)),
+               key=lambda s: (s[1], s[0]), default=None)
 
 
-def has_solution(r: int, n: int, nonzero_y: bool = False) -> bool:
+def has_solution(r: int, n: int) -> bool:
     """Decision procedure for x^2 - r*y^2 = n over the integers."""
-    return solve(r, n, nonzero_y=nonzero_y) is not None
+    return solve(r, n) is not None
 
 
 def solution_class_reps(r: int, n: int) -> list[Vec]:
-    """One representative per automorph-and-negation class of solutions.
+    """One representative per automorph-and-negation class of solutions,
+    sorted.
 
     surface._classes_of_square reads the classes of a square off these;
     for square r the solution set itself is finite and returned whole.
@@ -190,17 +188,10 @@ def solution_class_reps(r: int, n: int) -> list[Vec]:
         raise ValueError("class representatives are only defined for n != 0")
     if is_square(r):
         return _square_solutions(isqrt(r), n)
-    # each representative and its conjugate, one per ± pair, deduped by orbit
-    pool = {min(v, (-v[0], -v[1])) for x, y in _lmm_reps(r, n) for v in ((x, y), (x, -y))}
     t, u, _ = _unit_data(r)
-    out: list[Vec] = []
-    seen: set[Vec] = set()
-    for s in sorted(pool):
-        c = _orbit_canonical(s, r, t, u)
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    return out
+    # each representative and its conjugate, canonicalized by orbit
+    return sorted({_orbit_canonical(v, r, t, u)
+                   for x, y in _lmm_reps(r, n) for v in ((x, y), (x, -y))})
 
 
 def _orbit_canonical(s: Vec, D: int, t: int, u: int) -> Vec:

@@ -186,22 +186,19 @@ def _classes_of_square(L: QuarticLattice, k: int) -> list[Vec]:
             if (D := _congruent_class(L.b, x, y)) is not None]
 
 
-def class_with_square_exists(L: QuarticLattice, k: int, nonzero: bool = False) -> Vec | None:
-    """A class D with D^2 = k, or None.
+def class_with_square_exists(L: QuarticLattice, k: int) -> Vec | None:
+    """A nonzero class D with D^2 = k, or None; the zero class never counts.
 
     For k != 0 the first of _classes_of_square, with no sign normalization
-    (both signs of a class answer the existence question). The zero class
-    only counts when nonzero is False. A nonzero square-0 class needs
-    r = t^2 and x = s*y with s = ±t; D = ((s - b)*y/4, y) is then integral
-    first at y = 4/gcd(s - b, 4), and the s with the smaller y wins (+t on
-    a tie).
+    (both signs of a class answer the existence question). A square-0 class
+    needs r = t^2 and x = s*y with s = ±t; D = ((s - b)*y/4, y) is then
+    integral first at y = 4/gcd(s - b, 4), and the s with the smaller y wins
+    (+t on a tie).
     """
     if k % 2:
         raise ValueError("an even lattice has no class of odd square")
     r = L.r
     if k == 0:
-        if not nonzero:
-            return (0, 0)
         if not pell.is_square(r):
             return None
         t = isqrt(r)
@@ -363,7 +360,7 @@ def classify_aut(L: QuarticLattice) -> AutKind:
     P2 come back as the record's obstruction and axes. The (-2)-classes are
     read once and give both the obstruction and the chamber walls.
     """
-    obstruction = class_with_square_exists(L, 0, nonzero=True)
+    obstruction = class_with_square_exists(L, 0)
     walls = None
     if obstruction is None:
         neg2 = _classes_of_square(L, -2)

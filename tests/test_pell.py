@@ -17,9 +17,9 @@ def test_solvable_examples_with_witnesses():
     assert not pell.has_solution(20, 8)
     assert pell.solve(20, 8) is None
     # isotropic witness off the axis needs square r
-    assert pell.has_solution(25, 0, nonzero_y=True)
-    assert pell.solve(25, 0, nonzero_y=True) == (5, 1)
-    assert not pell.has_solution(17, 0, nonzero_y=True)
+    assert pell.has_solution(25, 0)
+    assert pell.solve(25, 0) == (5, 1)
+    assert not pell.has_solution(17, 0)
 
 
 def test_solutions_up_to_examples():
@@ -69,6 +69,7 @@ def test_class_reps_solve_and_are_distinct_orbits():
         reps = pell.solution_class_reps(r, n)
         assert reps, (r, n)
         assert len(set(reps)) == len(reps)
+        assert reps == sorted(reps), (r, n)
         for x, y in reps:
             assert x * x - r * y * y == n
 
@@ -132,10 +133,10 @@ def test_decision_procedure_vs_brute_oracle(r, n):
     witness = _brute(r, n)
     if n == 0:
         # only the y != 0 flavour is meaningful; (0, 0) is excluded
-        assert pell.has_solution(r, 0, nonzero_y=True) == pell.is_square(r)
+        assert pell.has_solution(r, 0) == pell.is_square(r)
         return
     if witness is not None:
-        assert got is not None, (r, n, witness)
+        assert got == witness, (r, n, witness)
     if got is None:
         assert witness is None
 

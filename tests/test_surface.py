@@ -87,10 +87,9 @@ def test_class_with_square_exists_examples():
 
 
 def test_class_with_square_exists_zero_and_errors():
-    assert class_with_square_exists(QuarticLattice(1, -2), 0) == (0, 0)
-    assert class_with_square_exists(QuarticLattice(1, -2), 0, nonzero=True) is None
+    assert class_with_square_exists(QuarticLattice(1, -2), 0) is None
     # isotropic classes exist exactly over square discriminants
-    D = class_with_square_exists(QuarticLattice(1, -1), 0, nonzero=True)
+    D = class_with_square_exists(QuarticLattice(1, -1), 0)
     assert D is not None and D != (0, 0)
     L = QuarticLattice(1, -1)
     assert L.dot(D, D) == 0
@@ -113,7 +112,7 @@ def test_nonzero_square_zero_class_matches_small_y_search():
             if (b * b - t * t) % 8:
                 continue
             L = QuarticLattice(b, (b * b - t * t) // 8)
-            assert class_with_square_exists(L, 0, nonzero=True) == first_hit(b, t), (b, t)
+            assert class_with_square_exists(L, 0) == first_hit(b, t), (b, t)
             models += 1
     assert models > 300
 
@@ -121,7 +120,7 @@ def test_nonzero_square_zero_class_matches_small_y_search():
 @given(st.sampled_from(ALL_R), st.sampled_from([-2, 0, 2, 4, 6, -4]))
 def test_class_with_square_exists_is_sound(r, k):
     L = QuarticLattice(*canonical_bc(r))
-    D = class_with_square_exists(L, k, nonzero=True)
+    D = class_with_square_exists(L, k)
     if D is not None:
         assert D != (0, 0)
         assert L.dot(D, D) == k
