@@ -161,7 +161,8 @@ def _cell_solutions(pa: int, d: int, counter: list[int] | None = None) -> list[A
     discriminant rp = d^2 - 8(p_a - 1) lies in [8, (_DEGREE_CAP - 1)^2 + 8],
     that is rp <= 233. gamma^2 divides rp, so |gamma| <= sqrt(rp) <= 15.
     With r = rp / gamma^2 = b^2 - 8c, the term (rp - gamma^2 * b^2) / (4*gamma)
-    of k is exactly -2c * gamma."""
+    of k is exactly -2c * gamma.
+    Each root has square -2: times e^2, that condition is the quadratic."""
     rp = d * d - 8 * (pa - 1)
     found = []
     g = isqrt(rp)
@@ -190,8 +191,6 @@ def _cell_solutions(pa: int, d: int, counter: list[int] | None = None) -> list[A
                     continue
                 alpha = -(1 + k * beta) // e
                 if 4 * alpha + b * beta <= 0:
-                    continue
-                if 4 * alpha * alpha + 2 * b * alpha * beta + 2 * c * beta * beta != -2:
                     continue
                 found.append(AntiflipSolution(pa, d, b, c, gamma, delta, alpha, beta))
     return found

@@ -1,12 +1,14 @@
 """Isometries of a quartic Picard lattice and generator synthesis.
 
 An isometry is a 2x2 integer matrix m with m^T Q m = Q, acting on coordinate
-columns in the (H, W) basis. Two integrality criteria decide whether a Hodge
-isometry descends from an actual automorphism of the surface:
+columns in the (H, W) basis. Two criteria decide whether a Hodge isometry
+descends from an actual automorphism of the surface:
 
 * gluing_ok: (m + I) Q^{-1} or (m - I) Q^{-1} is integral (the isometry
-  extends over the transcendental lattice);
-* torelli_ok: m(H) is ample (so the extended isometry is effective).
+  extends over the transcendental lattice), an integrality criterion;
+* torelli_ok: m(H) is ample (so the extended isometry is effective), not
+  an integrality test: without (-2)-classes every power of the minimal
+  hyperbolic element below passes it.
 
 Involutions of the lattice that fix no ample class come in the one-parameter
 family involution_form; infinite-order isometries are powers of a minimal
@@ -26,10 +28,6 @@ def is_isometry(L: surf.QuarticLattice, m: Mat) -> bool:
     """Exact check that m preserves the intersection form: m^T Q m == Q."""
     Q = L.base.gram()
     return mat_mul(mat_transpose(m), mat_mul(Q, m)) == Q
-
-
-def mat_col(m: Mat, j: int) -> Vec:
-    return (m[0][j], m[1][j])
 
 
 def gluing_ok(L: surf.QuarticLattice, m: Mat) -> bool:
@@ -52,10 +50,10 @@ def gluing_ok(L: surf.QuarticLattice, m: Mat) -> bool:
     return False
 
 
-def torelli_ok(L: surf.QuarticLattice, m: Mat, walls: list[Vec] | None = None) -> bool:
-    """True iff m sends the polarization H to an ample class (walls as in
-    surface.is_ample)."""
-    return surf.is_ample(L, mat_col(m, 0), walls)
+def torelli_ok(L: surf.QuarticLattice, m: Mat) -> bool:
+    """True iff m sends the polarization H to an ample class; m(H) is the
+    first column of m."""
+    return surf.is_ample(L, (m[0][0], m[1][0]))
 
 
 def involution_form(L: surf.QuarticLattice, alpha: int, beta: int) -> Mat | None:
@@ -156,34 +154,34 @@ def generators_for(L: surf.QuarticLattice, tag: str, axes: list[Vec]) -> list[Ma
                 % (tag, expected, len(axes))
             )
         return [reflection(L, A) for A in axes]
-    # tag == "Z": no (-2)-class exists, so no wall cuts the positive cone
-    return [_gluing_power(L, [])[0]]
+    # tag == "Z": no (-2)-class, so every power of h passes torelli_ok
+    return [_gluing_power(L)[0]]
 
 
 def minimal_gluing_exponent(L: surf.QuarticLattice) -> int:
-    """The k for which aut_generators returns h^k in the infinite case."""
-    return _gluing_power(L)[1]
+    """The k for which aut_generators returns h^k in the infinite case.
+
+    torelli_ok runs once, on h^k, as its answer is the same for every power:
+    yes with no (-2)-class; no when (-2)-walls bound the ample chamber on
+    both sides, since no hyperbolic isometry maps a bounded chamber to itself.
+    """
+    hk, k = _gluing_power(L)
+    if not torelli_ok(L, hk):
+        raise RuntimeError("h^%d glues, but with (-2)-walls no power of the "
+                           "minimal isometry sends H to an ample class" % k)
+    return k
 
 
-def _gluing_power(L: surf.QuarticLattice, walls: list[Vec] | None = None) -> tuple[Mat, int]:
+def _gluing_power(L: surf.QuarticLattice) -> tuple[Mat, int]:
     """(h^k, k) for the least k >= 1 at which the minimal hyperbolic element
-    h satisfies both descent criteria; walls are the chamber walls, found
-    here once when not given.
+    h satisfies gluing_ok.
 
     gluing_ok(h^k) depends only on h^k mod det Q and holds once h^k ≡ I, so
     the loop is finite: the first such k bounds it.
     """
-    alpha, beta = minimal_quadeq_solution(L)
-    h = infinite_order_form(L, alpha, beta)
-    walls = surf._chamber_walls(L) if walls is None else walls
-    det = abs(L.base.det())
+    h = infinite_order_form(L, *minimal_quadeq_solution(L))
     hk, k = h, 1
-    while not (gluing_ok(L, hk) and torelli_ok(L, hk, walls)):
-        if all(e % det == 0 for e in (hk[0][0] - 1, hk[0][1], hk[1][0], hk[1][1] - 1)):
-            raise RuntimeError(
-                "h^%d is the identity mod |det Q| = %d and still fails descent; "
-                "no power of the minimal isometry qualifies" % (k, det)
-            )
+    while not gluing_ok(L, hk):
         hk, k = mat_mul(hk, h), k + 1
     return hk, k
 

@@ -295,14 +295,13 @@ def _chamber_walls(L: QuarticLattice) -> list[Vec]:
     return _least_degree_each_side(L, _classes_of_square(L, -2))
 
 
-def is_ample(L: QuarticLattice, A: Vec, walls: list[Vec] | None = None) -> bool:
+def is_ample(L: QuarticLattice, A: Vec) -> bool:
     """Exact ampleness: A.H > 0, A^2 > 0, and A pairs strictly positively
-    with every effective (-2)-class, i.e. with both chamber walls (walls,
-    when given, are _chamber_walls(L))."""
+    with every effective (-2)-class, i.e. with both chamber walls."""
     return (
         L.dot(H, A) > 0
         and L.dot(A, A) > 0
-        and all(L.dot(A, w) > 0 for w in (_chamber_walls(L) if walls is None else walls))
+        and all(L.dot(A, w) > 0 for w in _chamber_walls(L))
     )
 
 

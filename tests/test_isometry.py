@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quartaut.lattice import IDENTITY, mat_mul, mat_pow, mat_vec
-from quartaut.surface import QuarticLattice, canonical_bc, classify_aut, curve_model
+from quartaut.surface import (
+    H, QuarticLattice, canonical_bc, class_with_square_exists, classify_aut, curve_model,
+)
 from quartaut import isometry
 
 L17 = QuarticLattice(11, 13)
@@ -162,13 +164,21 @@ def test_minimal_gluing_exponents():
         assert isometry.minimal_gluing_exponent(L) == k, r
 
 
+def _check_powers_up_to(L, h, k):
+    """Every h^j with 1 <= j <= k sends H to an ample class, with
+    H.h^j(H) = 2 tr(h^j); only h^k glues."""
+    for j in range(1, k + 1):
+        hj = mat_pow(h, j)
+        assert isometry.torelli_ok(L, hj), (L, j)
+        assert L.dot(H, mat_vec(hj, H)) == 2 * (hj[0][0] + hj[1][1]), (L, j)
+        assert isometry.gluing_ok(L, hj) == (j == k), (L, j)
+
+
 def test_h_powers_below_exponent_fail_descent():
     for r, k in ((20, 3), (32, 2), (48, 4)):
         L, _ = curve_model(r)
         h = isometry.infinite_order_form(L, *isometry.minimal_quadeq_solution(L))
-        for j in range(1, k):
-            hj = mat_pow(h, j)
-            assert not (isometry.gluing_ok(L, hj) and isometry.torelli_ok(L, hj)), (r, j)
+        _check_powers_up_to(L, h, k)
 
 
 # Z-tag canonical models beyond the paper's range, 57 < r <= 200, with the
@@ -196,18 +206,27 @@ def test_gluing_power_beyond_paper_range():
         h = isometry.infinite_order_form(L, *isometry.minimal_quadeq_solution(L))
         k = found[r] = isometry.minimal_gluing_exponent(L)
         assert g == mat_pow(h, k), r
-        for j in range(1, k):
-            hj = mat_pow(h, j)
-            assert not (isometry.gluing_ok(L, hj) and isometry.torelli_ok(L, hj)), (r, j)
+        _check_powers_up_to(L, h, k)
     assert found == Z_BEYOND_PAPER
 
 
-def test_gluing_power_failure_names_its_bound(monkeypatch):
-    # h^24 is the first power of the r = 48 element that is I mod |det Q| = 48
-    monkeypatch.setattr(isometry, "torelli_ok", lambda L, m, walls=None: False)
-    L48, _ = curve_model(48)
-    with pytest.raises(RuntimeError, match=r"h\^24 is the identity mod \|det Q\| = 48"):
-        isometry.minimal_gluing_exponent(L48)
+def test_walls_refuse_every_gluing_power(monkeypatch):
+    refusal = r" glues, but with \(-2\)-walls no power"
+    walled = []
+    for r in range(9, 58):
+        if r % 8 not in (0, 1, 4) or isqrt(r) ** 2 == r:
+            continue
+        L = QuarticLattice.from_disc(r)
+        if class_with_square_exists(L, -2) is None:
+            continue
+        walled.append(r)
+        with pytest.raises(RuntimeError, match=r"h\^\d+" + refusal):
+            isometry.minimal_gluing_exponent(L)
+    assert walled == [12, 17, 24, 33, 41, 44, 57]
+    # the refusal names the power that glues: h^4 at r = 48
+    monkeypatch.setattr(isometry, "torelli_ok", lambda L, m: False)
+    with pytest.raises(RuntimeError, match=r"h\^4" + refusal):
+        isometry.minimal_gluing_exponent(curve_model(48)[0])
 
 
 def test_trivial_case_has_no_generators():
