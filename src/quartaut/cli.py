@@ -150,14 +150,15 @@ def cmd_pell(args) -> tuple[dict, int]:
         return {"error": "a positive discriminant is required"}, EXIT_BAD_INPUT
     if args.bound is not None and args.bound < 1:
         return {"error": "--bound must be at least 1"}, EXIT_BAD_INPUT
-    witness = pell.solve(r, args.n)
+    reps = pell.solution_class_reps(r, args.n) if args.n != 0 else None
+    witness = pell.least_witness(reps) if reps is not None else pell.solve(r, 0)
     results = {
         "equation": f"x^2 - {r} y^2 = {args.n}",
         "solvable": witness is not None,
         "witness": list(witness) if witness else None,
     }
-    if args.n != 0:
-        results["orbit_representatives"] = [list(s) for s in pell.solution_class_reps(r, args.n)]
+    if reps is not None:
+        results["orbit_representatives"] = [list(s) for s in reps]
     if args.bound is not None:
         results["solutions_up_to_bound"] = [
             list(s) for s in pell.solutions_up_to(r, args.n, args.bound)

@@ -162,7 +162,10 @@ def _cell_solutions(pa: int, d: int, counter: list[int] | None = None) -> list[A
     that is rp <= 233. gamma^2 divides rp, so |gamma| <= sqrt(rp) <= 15.
     With r = rp / gamma^2 = b^2 - 8c, the term (rp - gamma^2 * b^2) / (4*gamma)
     of k is exactly -2c * gamma.
-    Each root has square -2: times e^2, that condition is the quadratic."""
+    Each root has square -2: times e^2, that condition is the quadratic.
+    With e = 16 - d, k = (b*e + gamma*r)/4, so the quadratic's coefficients
+    are r(rp - e^2)/4, 2*gamma*r and 4 + 2e^2: they do not depend on b, and
+    one root set per (cell, gamma) would serve every b."""
     rp = d * d - 8 * (pa - 1)
     found = []
     g = isqrt(rp)

@@ -3,19 +3,23 @@
 Two routes are deliberately kept apart:
 
 * ``solution_class_reps`` is the one decision route; ``solve`` and
-  ``has_solution`` read their answer off it. For nonsquare r it runs the
-  PQa continued-fraction expansion of sqrt(r) and the LMM class-by-class
-  search (Robertson, "Solving the generalized Pell equation x^2 - Dy^2 = N",
-  2004): for each factor m = n/f^2 and each square root z0 of r modulo |m|
-  with 0 <= z0 <= |m|/2 (only z0 ≡ r mod 2 when |m| is even), one PQa run
-  stopped at the first Q_i = ±1 gives the fundamental solution of that
-  class, or shows it has none. The root -z0 is not run: its classes are the
-  conjugates (x, -y) of the z0 classes, which ``solution_class_reps`` pools
-  before it canonicalizes each orbit. Primitive solutions satisfy
-  gcd(y, m) = 1, so every class is hit by some root; imprimitive solutions
-  are f times a primitive solution of the m-equation. For square r = t^2
-  the equation factors as (x - t*y)(x + t*y) = n and divisor enumeration is
-  exhaustive.
+  ``has_solution`` read their answer off it through ``least_witness``. For
+  nonsquare r it runs the PQa continued-fraction expansion of sqrt(r) and
+  the LMM class-by-class search (Robertson, "Solving the generalized Pell
+  equation x^2 - Dy^2 = N", 2004): for each factor m = n/f^2 and each
+  square root z0 of r modulo |m| with 0 <= z0 <= |m|/2 (only z0 ≡ r mod 2
+  when |m| is even), one PQa run stopped at the first Q_i = ±1 gives the
+  fundamental solution of that class, or shows it has none. The root -z0
+  is not run: its classes are the conjugates (x, -y) of the z0 classes,
+  which ``solution_class_reps`` pools before it canonicalizes each orbit.
+  Primitive solutions satisfy gcd(y, m) = 1, so every class is hit by some
+  root; imprimitive solutions are f times a primitive solution of the
+  m-equation. |n| is factored once by trial division; the f come from its
+  exponents, and a modulus m is scanned only when z^2 ≡ r has a root
+  modulo every prime power of |m| (Cohen, *A Course in Computational
+  Algebraic Number Theory*, §1.5), so moduli without roots cost no scan.
+  For square r = t^2 the equation factors as (x - t*y)(x + t*y) = n and
+  divisor enumeration is exhaustive.
 * ``solutions_up_to`` is a brute-force scan, exhaustive within a |y| bound.
   It exists so tests can compare the decision procedure against an
   independent enumeration; it must stay naive.
@@ -94,10 +98,56 @@ def fundamental_solution(D: int) -> Vec:
     return t, u
 
 
+def _factor(n: int) -> dict[int, int]:
+    """The prime factorization {p: e} of |n| >= 1, by trial division."""
+    n = abs(n)
+    e = (n & -n).bit_length() - 1
+    out = {2: e} if e else {}
+    n >>= e
+    p = 3
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+        p += 2
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def _has_root(D: int, p: int, e: int) -> bool:
+    """Whether z^2 ≡ D (mod p^e) has a solution, for a prime p and e >= 0.
+
+    With v = min(v_p(D), e) and u = D/p^v: a root exists iff v = e, or v is
+    even and u is a square modulo p^(e-v). For odd p, Hensel lifting makes
+    that Euler's criterion u^((p-1)/2) ≡ 1 (mod p). For p = 2 and
+    k = e - v, every odd u is a square mod 2, mod 4 only u ≡ 1 (mod 4),
+    and mod 2^k with k >= 3 only u ≡ 1 (mod 8)."""
+    v, u = 0, D
+    while v < e and u % p == 0:
+        v, u = v + 1, u // p
+    if v == e:
+        return True
+    if v % 2:
+        return False
+    k = e - v
+    if p == 2:
+        return k == 1 or u % (4 if k == 2 else 8) == 1
+    return pow(u, (p - 1) // 2, p) == 1
+
+
 def _lmm_reps(D: int, N: int) -> list[Vec]:
     """Solution representatives of x^2 - D*y^2 = N, at least one per class
     under the automorph group, negation and conjugation (x, y) -> (x, -y).
     D > 0 nonsquare, N != 0.
+
+    |N| is factored once; each f with f^2 | N takes exponent j <= e // 2 at
+    each prime p^e of |N|, so m = N/f^2 has p^(e - 2j). An exponent j is
+    kept only when z^2 ≡ D has a root modulo p^(e - 2j) (``_has_root``), so
+    a modulus without roots is never built, let alone scanned.
 
     The square roots z of D modulo |m| come in ± pairs, and PQa runs on z0
     only, for 0 <= z0 <= |m|/2 with step 2 from D mod 2 when |m| is even
@@ -107,25 +157,26 @@ def _lmm_reps(D: int, N: int) -> list[Vec]:
     wrong sign gives a solution only through a solution of x^2 - D*y^2 = -1."""
     _, _, neg = _unit_data(D)
     reps: list[Vec] = []
-    f = 1
-    while f * f <= abs(N):
-        if N % (f * f) == 0:
-            m = N // (f * f)
-            am = abs(m)
-            step = 2 if am % 2 == 0 else 1
-            for z0 in range(D % step, am // 2 + 1, step):
-                if (z0 * z0 - D) % am:
+    fs = [1]
+    for p, e in _factor(N).items():
+        fs = [f * p ** j for j in range(e // 2 + 1) if _has_root(D, p, e - 2 * j)
+              for f in fs]
+    for f in fs:
+        m = N // (f * f)
+        am = abs(m)
+        step = 2 if am % 2 == 0 else 1
+        for z0 in range(D % step, am // 2 + 1, step):
+            if (z0 * z0 - D) % am:
+                continue
+            for i, Q, g, b in _pqa(z0, am, D):
+                if Q not in (1, -1):
                     continue
-                for i, Q, g, b in _pqa(z0, am, D):
-                    if Q not in (1, -1):
-                        continue
-                    s = (f * g, f * b)
-                    if (Q * am if i % 2 == 0 else -Q * am) == m:
-                        reps.append(s)
-                    elif neg is not None:
-                        reps.append(_mul(s, neg, D))
-                    break
-        f += 1
+                s = (f * g, f * b)
+                if (Q * am if i % 2 == 0 else -Q * am) == m:
+                    reps.append(s)
+                elif neg is not None:
+                    reps.append(_mul(s, neg, D))
+                break
     return reps
 
 
@@ -166,7 +217,15 @@ def solve(r: int, n: int) -> Vec | None:
         return None
     if n > 0 and is_square(n):
         return (isqrt(n), 0)
-    return min(((abs(x), abs(y)) for x, y in solution_class_reps(r, n)),
+    return least_witness(solution_class_reps(r, n))
+
+
+def least_witness(reps: list[Vec]) -> Vec | None:
+    """The witness ``solve`` reports for n != 0, read off
+    ``solution_class_reps(r, n)``: the least (|y|, |x|) over the
+    representatives, as (|x|, |y|), or None when there are none. For square
+    n > 0 that is (sqrt(n), 0), the shortcut ``solve`` takes."""
+    return min(((abs(x), abs(y)) for x, y in reps),
                key=lambda s: (s[1], s[0]), default=None)
 
 

@@ -116,12 +116,26 @@ def test_pell_bad_inputs(capsys):
 
 def test_pell_refuses_a_bad_bound_before_solving(capsys, monkeypatch):
     def solve(r, n):
-        raise AssertionError("pell.solve ran before --bound was checked")
+        raise AssertionError("pell ran before --bound was checked")
 
     monkeypatch.setattr(pell, "solve", solve)
+    monkeypatch.setattr(pell, "solution_class_reps", solve)
     code, rep = run_json(capsys, "pell", "--r", "1999", "--n", "999983", "--bound", "0")
     assert code == 2
     assert rep["results"]["error"] == "--bound must be at least 1"
+
+
+@pytest.mark.parametrize("n", ["8", "-8", "9", "20", "999983"])
+def test_pell_report_runs_one_lmm_search(capsys, monkeypatch, n):
+    """The witness is read off the orbit representatives, so a report with
+    n != 0 runs the LMM search once, and reports what solve reports."""
+    calls, real = [], pell._lmm_reps
+    monkeypatch.setattr(pell, "_lmm_reps", lambda D, N: calls.append((D, N)) or real(D, N))
+    code, rep = run_json(capsys, "pell", "--r", "41", "--n", n, "--bound", "5")
+    assert code == 0
+    assert calls == [(41, int(n))]
+    w = pell.solve(41, int(n))
+    assert rep["results"]["witness"] == (list(w) if w else None)
 
 
 def test_curve_class_report(capsys):
@@ -249,7 +263,7 @@ def test_search_bound_becomes_a_report_with_exit_3(capsys):
 
 
 def test_layer_value_error_becomes_a_report_with_exit_2(capsys, monkeypatch):
-    monkeypatch.setattr(pell, "solve", lambda r, n: pell.is_square(-r))
+    monkeypatch.setattr(pell, "solution_class_reps", lambda r, n: pell.is_square(-r))
     code, rep = run_json(capsys, "pell", "--r", "17", "--n", "8")
     assert code == 2
     assert rep["command"] == "pell"

@@ -100,6 +100,31 @@ def test_antiflip_cells_cover_the_degree_range():
     assert len(set(cells)) == len(cells)
 
 
+def test_antiflip_quadratic_does_not_depend_on_b():
+    """Over every configuration _cell_solutions tries, k = (b*e + gamma*r)/4
+    with e = 16 - d, so the beta-quadratic's coefficients are r(rp - e^2)/4,
+    2*gamma*r and 4 + 2e^2: one quadratic per (cell, gamma), whatever b is."""
+    seen = 0
+    for pa, d in exclusion._cells():
+        rp, e = d * d - 8 * (pa - 1), 16 - d
+        for gamma in range(-15, 16):
+            if gamma == 0 or rp % (gamma * gamma):
+                continue
+            r = rp // (gamma * gamma)
+            if r in exclusion._FORBIDDEN_DISCS:
+                continue
+            for b in range(1, 16):
+                if (b * b - r) % 8 or (d - b * gamma) % 4:
+                    continue
+                c, delta = (b * b - r) // 8, (d - b * gamma) // 4
+                k = b * (4 - delta) - 2 * c * gamma
+                seen += 1
+                assert 4 * k == b * e + gamma * r
+                assert 4 * (4 * k * k - 2 * b * k * e + 2 * c * e * e) == r * (rp - e * e)
+                assert 8 * k - 2 * b * e == 2 * gamma * r
+    assert seen == exclusion.antiflip_report().configurations == 1590
+
+
 def test_antiflip_is_order_independent():
     cells = exclusion._cells()
     want = exclusion.antiflip_exhaustion()

@@ -1,8 +1,8 @@
 """Pell solver against pinned witnesses, a brute-force oracle, and sympy."""
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.solvers.diophantine.diophantine import diop_DN
 
@@ -141,12 +141,56 @@ def test_decision_procedure_vs_brute_oracle(r, n):
         assert witness is None
 
 
+# |n| up to 10^6 with 2^6 | n, a prime p | r, or p^2 | n; each sympy call
+# here is under 0.5 s (diop_DN(41, -8*10^5) alone takes over a second)
 @settings(max_examples=400, deadline=None)
+@example(187, -272832)
+@example(950, -844096)
+@example(742, -187264)
+@example(578, 676032)
+@example(17, 2**6 * 5**6)
+@example(41, 2**6 * 3**2 * 7**2)
+@example(858, -761175)
+@example(1042, -303601)
+@example(1865, -457263)
+@example(1183, 13**3 * 73)
+@example(1183, 2 * 13**2 * 29)
+@example(860, 484625)
+@example(753, -299157)
+@example(665, -873425)
+@example(1960, -(2**6) * 7**3 * 29)
 @given(st.integers(1, 300), st.integers(-64, 64))
 def test_decision_procedure_vs_sympy(r, n):
+    """Same decision as sympy, and each of sympy's solutions lies in a
+    listed class."""
     if n == 0:
         return
-    assert pell.has_solution(r, n) == bool(diop_DN(r, n))
+    sols = diop_DN(r, n)
+    reps = pell.solution_class_reps(r, n)
+    assert pell.has_solution(r, n) == bool(sols)
+    for s in sols:
+        assert any(_same_class(r, n, s, v) for v in reps), (r, n, s, reps)
+
+
+def test_local_root_criterion_vs_brute_force():
+    """z^2 ≡ r (mod m) is solvable iff it is modulo every prime power of m,
+    against r mod m read off the squares mod m, for 1 <= r <= 300 and
+    1 <= m <= 1024. The range holds squares, even r, r with p^2 | r, and
+    m = 2^10, 3^6, 5^4 and 7^3."""
+    for m in range(1, 1025):
+        squares = {z * z % m for z in range(m)}
+        fac = pell._factor(m)
+        for r in range(1, 301):
+            got = all(pell._has_root(r, p, e) for p, e in fac.items())
+            assert got == (r % m in squares), (r, m)
+
+
+def test_factor():
+    assert pell._factor(1) == {}
+    assert pell._factor(-720) == {2: 4, 3: 2, 5: 1}
+    assert pell._factor(999983) == {999983: 1}
+    for n in range(1, 2000):
+        assert prod(p ** e for p, e in pell._factor(n).items()) == n
 
 
 @settings(max_examples=1000, deadline=None)
