@@ -88,14 +88,16 @@ def infinite_order_form(L: surf.QuarticLattice, alpha: int, beta: int) -> Mat | 
 
 def minimal_quadeq_solution(L: surf.QuarticLattice) -> Vec:
     """Smallest positive (alpha, beta) solving c*a^2 - b*a*t + 2*t^2 = c whose
-    infinite-order form is integral with positive trace.
+    infinite-order form h is integral with positive trace.
 
     The form is integral exactly when c | 2*beta and c | b*beta, that is when
     sigma = |c|/gcd(c, 2, b) divides beta, so the scan steps |beta| by sigma.
     The class-vector automorph of the fundamental Pell solution (t, u) lies in
     the same family with beta = 2|c|u, so the scan is complete once |beta|
     reaches that bound; a hard cap on |beta| (not on the number of candidates
-    tried) guards against misuse.
+    tried) guards against misuse. h^-1 shares |beta| and beta > 0 is tried
+    first, so h's orientation depends on the model (a model change may
+    invert the conjugated h); the published curve models have beta > 0.
     """
     from math import gcd, isqrt
 
@@ -110,8 +112,6 @@ def minimal_quadeq_solution(L: surf.QuarticLattice) -> Vec:
     bound = min(2 * abs(c) * u, _QUADEQ_HARD_CAP)
     sigma = abs(c) // gcd(c, 2, b)
     for size in range(sigma, bound + 1, sigma):
-        # the expanding solution has beta > 0 when b > 0 and beta < 0 when
-        # b < 0 (mirror models swap the sign), so try both
         for beta in (size, -size):
             # a = (b*beta ± s) / (2c) with s^2 = r*beta^2 + 4c^2
             s2 = r * beta * beta + 4 * c * c

@@ -7,8 +7,8 @@ frame {H, C} of the surface is the matrix ((a, (ac-1)/b), (-b, -c)). A
 P3 self-link acts as the reflection in 4H - C, so its (a, b, c) is derived
 from (g, d); only the X5 row, whose matrix has trace 6, is data.
 
-Words chain links with changes of curve basis B = ((1, lam), (0, -1))
-(self-inverse) between steps; the composite is the product of the
+Words chain links with changes of curve basis B = ((1, x), (0, eps)),
+eps = ±1, which fix H, between steps; the composite is the product of the
 conjugated step matrices in step order. realize_generator searches words of
 length at most two, built from catalog rows and the X5 row run backwards,
 whose composite equals a given generator matrix; each step's B must turn
@@ -121,15 +121,15 @@ def compose_word(word: LinkWord) -> Mat:
 
 
 def _step_candidates(cur: GramLattice, want: GramLattice) -> list[Mat]:
-    """Base changes B with B^T cur B = want: the identity when the frames
-    already agree, and the swap C' = lam*H - C with lam fixed by H.C' and
-    checked against C'^2."""
-    out = [IDENTITY] if cur == want else []
-    num = want.q12 + cur.q12
-    if cur.q11 == want.q11 and num % cur.q11 == 0:
-        lam = num // cur.q11
-        if lam != 0 and lam * lam * cur.q11 - 2 * lam * cur.q12 + cur.q22 == want.q22:
-            out.append(base_change(lam))
+    """B = ((1, x), (0, eps)) with B^T cur B = want, eps = +1 first (the
+    identity is eps = 1, x = 0): x is fixed by H.C' for C' = x*H + eps*C,
+    and as B is unimodular, C'^2 is right iff the determinants agree."""
+    out = []
+    if cur.q11 == want.q11 and cur.det() == want.det():
+        for eps in (1, -1):
+            x, rem = divmod(want.q12 - eps * cur.q12, cur.q11)
+            if not rem:
+                out.append(((1, x), (0, eps)))
     return out
 
 
@@ -156,12 +156,12 @@ def realize_generator(L: surf.QuarticLattice, target: Mat) -> LinkWord | None:
     """First word of length <= 2 whose composite equals `target`.
 
     Each step is a catalog row, or the X5 row run backwards, taken in the
-    basis B in {I, base_change(lam)} that turns the current frame into the
+    basis B = ((1, x), (0, eps)) that turns the current frame into the
     Gram of the row's source frame; B is unimodular, so the step's curve
-    B(0, 1) spans L together with H. The first frame is {H, W}, and a step
-    with conjugated matrix m moves the frame Q to m^T Q m. Words start and
-    end on P3. Search order: length 1 before length 2; catalog order;
-    identity before the swapped base change.
+    B(0, 1) = x*H + eps*C spans L together with H. The first frame is
+    {H, W}, and a step with conjugated matrix m moves the frame Q to
+    m^T Q m. Words start and end on P3. Search order: length 1 before
+    length 2; catalog order; eps = +1 before eps = -1.
     """
     base = L.base
     firsts = [(rec, B, conjugate(link_matrix(rec), B))

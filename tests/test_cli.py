@@ -207,6 +207,16 @@ def test_realize_trivial_group_is_an_error(capsys):
     assert "trivial" in rep["results"]["error"]
 
 
+def test_realize_without_a_catalog_curve_exits_3(capsys):
+    # r = 73 carries no catalog curve, so no step has a frame to start from
+    code, rep = run_json(capsys, "realize", "--r", "73")
+    assert code == 3
+    assert rep["results"]["tag"] == "Z2"
+    (item,) = rep["results"]["realizations"]
+    assert item["word"] is None
+    assert item["error"] == "no word of length <= 2 found"
+
+
 def test_exclusion_report(capsys):
     code, rep = run_json(capsys, "exclusion", "--no-timestamp")
     assert code == 0

@@ -1,6 +1,6 @@
 """Link catalog, conjugation and composition identities, generator words."""
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quartaut import isometry, links, verify
@@ -225,15 +225,12 @@ FRAME_RS = (17, 20, 28, 32, 40, 41, 48, 56)
 def test_realize_all_generators_with_short_words():
     models = {(b, (b * b - r) // 8) for r in FRAME_RS for b in range(-12, 13)
               if (b * b - r) % 8 == 0}
-    curve_models = {curve_model(r)[0] for r in FRAME_RS}
     words = {}
     for b, c in sorted(models):
         L = QuarticLattice(b, c)
         for gen in classify_aut(L).generators:
             word = words[b, c, gen] = links.realize_generator(L, gen)
-            if word is None:
-                assert (b, c) not in curve_models, (b, c)
-                continue
+            assert word is not None, (b, c, gen)
             assert len(word.steps) <= 2
             assert links.compose_word(word) == gen
             # every word starts and ends on P3
@@ -244,6 +241,31 @@ def test_realize_all_generators_with_short_words():
     # the canonical r = 17 model blows up the curve 3H - W
     (steps,) = [w.steps for (b, c, _), w in words.items() if (b, c) == (1, -2)]
     assert [(s.record.gd, s.change) for s in steps] == [((14, 11), links.base_change(3))]
+
+
+# even Gram matrices ((q11, q12), (q12, q22)) with H^2 = q11 > 0, nondegenerate
+frames = st.tuples(st.integers(1, 10).map(lambda k: 2 * k), st.integers(-40, 40),
+                   st.integers(-20, 20).map(lambda k: 2 * k)).filter(
+    lambda q: q[0] * q[2] != q[1] * q[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames, st.integers(-40, 40), st.integers(-20, 20).map(lambda k: 2 * k))
+def test_step_candidates_vs_brute_force(q, w12, w22):
+    """Every basis change ((1, x), (0, eps)) that fixes H is found, and
+    every candidate returned carries cur onto want, also for an arbitrary
+    want ((q11, w12), (w12, w22)) of the same H^2."""
+    assume(q[0] * w22 != w12 * w12)
+    cur = GramLattice(*q)
+    wants = [GramLattice(q[0], w12, w22)]
+    for eps in (1, -1):
+        for x in range(-12, 13):
+            B = ((1, x), (0, eps))
+            wants.append(change_basis(cur, B).lattice)
+            assert B in links._step_candidates(cur, wants[-1]), (cur, B)
+    for want in wants:
+        got = links._step_candidates(cur, want)
+        assert all(change_basis(cur, B).lattice == want for B in got), (cur, want, got)
 
 
 def test_verify_paper_names_the_first_step_off_its_frame(monkeypatch):

@@ -1,0 +1,90 @@
+"""Model-change equivariance: every answer transforms with the basis.
+
+Two models (b, c) of one discriminant r differ by W' = x*H + eps*W, the
+basis change B = ((1, x), (0, eps)), which fixes H. Classes then map by
+B^-1 and isometries by conjugation m -> B^-1 m B, so each model's answers
+follow from the canonical model's.
+"""
+from quartaut import isometry, links, pell
+from quartaut import surface as surf
+from quartaut.lattice import mat_inv_unimodular, mat_mul, mat_vec
+from quartaut.surface import QuarticLattice
+
+# curve data of every catalog row and its flopped curve, plus pairs off it
+CURVE_GDS = sorted({rec.gd for rec in links.catalog()}
+                   | {rec.gd_plus for rec in links.catalog()}
+                   | {(0, 1), (0, 2), (1, 3), (1, 4), (3, 5), (3, 7), (15, 11)})
+
+
+def _models(r):
+    """Every model (b, c) of r with |b| <= 12, with the B that carries the
+    canonical model (b0, c0) to it: b = 4x + eps*b0, eps = +1 first."""
+    b0, _ = surf.canonical_bc(r)
+    for b in range(-12, 13):
+        if (b * b - r) % 8 == 0:
+            eps = 1 if (b - b0) % 4 == 0 else -1
+            yield QuarticLattice(b, (b * b - r) // 8), ((1, (b - eps * b0) // 4), (0, eps))
+
+
+def _orbit(L, v, steps=6):
+    """v and its images under <T, -1> out to T^±steps (T the automorph; only
+    the sign for square r)."""
+    out = {v, (-v[0], -v[1])}
+    if not pell.is_square(L.r):
+        T = surf.automorph(L)
+        for M in (T, mat_inv_unimodular(T)):
+            w = v
+            for _ in range(steps):
+                w = mat_vec(M, w)
+                out |= {w, (-w[0], -w[1])}
+    return out
+
+
+def test_answers_follow_the_model_change():
+    skipped, pairs, flipped = [], 0, 0
+    for r in range(9, 400):
+        if r % 8 not in (0, 1, 4):
+            continue
+        L0 = QuarticLattice.from_disc(r)
+        try:
+            kind0 = surf.classify_aut(L0)
+        except RuntimeError as exc:
+            assert "no positive conic solution" in str(exc)
+            skipped.append(r)
+            continue
+        walls0 = surf._chamber_walls(L0)
+        curves0 = {gd: surf.find_curve_class(L0, gd) for gd in CURVE_GDS}
+        realized = set()
+        for L, B in _models(r):
+            Bi = mat_inv_unimodular(B)
+            pairs += L != L0
+            kind = surf.classify_aut(L)
+            assert kind.tag == kind0.tag, (L, B)
+            assert set(kind.axes) == {mat_vec(Bi, A) for A in kind0.axes}
+            assert set(surf._chamber_walls(L)) == {mat_vec(Bi, w) for w in walls0}
+            # the obstruction moves within its orbit under the automorph and -1
+            if kind0.obstruction is None:
+                assert kind.obstruction is None
+            else:
+                assert mat_vec(Bi, kind0.obstruction) in _orbit(L, kind.obstruction)
+            gens0 = [mat_mul(mat_mul(Bi, g), B) for g in kind0.generators]
+            if kind.tag == "Z":
+                # h is fixed up to inversion: its orientation depends on the model
+                (g,), (g0,) = kind.generators, gens0
+                assert g in (g0, mat_inv_unimodular(g0)), (L, B)
+                flipped += g != g0
+                assert (isometry.minimal_gluing_exponent(L)
+                        == isometry.minimal_gluing_exponent(L0))
+            else:
+                assert set(kind.generators) == set(gens0), (L, B)
+            for gd, D0 in curves0.items():
+                D = surf.find_curve_class(L, gd)
+                assert (D is None) == (D0 is None), (L, gd)
+                if D is not None:
+                    assert surf.genus_degree(L, D) == gd
+            realized |= {links.realize_generator(L, g) is not None for g in kind.generators}
+        # a word exists on every model of r or on none
+        assert len(realized) <= 1, r
+    assert skipped == [265, 292, 356, 388]
+    assert pairs == 1046
+    assert flipped == 83
