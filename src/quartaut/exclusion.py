@@ -164,9 +164,12 @@ def _cell_solutions(pa: int, d: int, counter: list[int] | None = None) -> list[A
     of k is exactly -2c * gamma.
     Each root has square -2: times e^2, that condition is the quadratic.
     With e = 16 - d, k = (b*e + gamma*r)/4, so the quadratic's coefficients
-    are r(rp - e^2)/4, 2*gamma*r and 4 + 2e^2: they do not depend on b, and
-    one root set per (cell, gamma) would serve every b."""
+    are r(rp - e^2)/4, 2*gamma*r and 4 + 2e^2: they do not depend on b.
+    So each (cell, gamma) collects its admissible b (b^2 = r mod 8 and
+    b*gamma = d mod 4) and solves the quadratic once; the per-b alpha/beta
+    checks run only when it has integer roots, which few (cell, gamma) do."""
     rp = d * d - 8 * (pa - 1)
+    e = 16 - d
     found = []
     g = isqrt(rp)
     for gamma in range(-g, g + 1):
@@ -175,21 +178,17 @@ def _cell_solutions(pa: int, d: int, counter: list[int] | None = None) -> list[A
         r = rp // (gamma * gamma)
         if r in _FORBIDDEN_DISCS:
             continue
-        for b in range(1, 16):
-            if (b * b - r) % 8:
-                continue
+        bs = [b for b in range(1, 16) if not (b * b - r) % 8 and not (d - b * gamma) % 4]
+        if counter is not None:
+            counter[0] += len(bs)
+        roots = _integer_roots(r * (rp - e * e) // 4, 2 * gamma * r, 4 + 2 * e * e) if bs else []
+        if not roots:
+            continue
+        for b in bs:
             c = (b * b - r) // 8
-            if (d - b * gamma) % 4:
-                continue
             delta = (d - b * gamma) // 4
             k = b * (4 - delta) - 2 * c * gamma
-            e = 16 - d
-            if counter is not None:
-                counter[0] += 1
-            a2 = 4 * k * k - 2 * b * k * e + 2 * c * e * e
-            a1 = 8 * k - 2 * b * e
-            a0 = 4 + 2 * e * e
-            for beta in _integer_roots(a2, a1, a0):
+            for beta in roots:
                 if (1 + k * beta) % e:
                     continue
                 alpha = -(1 + k * beta) // e

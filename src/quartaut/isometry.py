@@ -104,8 +104,6 @@ def minimal_quadeq_solution(L: surf.QuarticLattice) -> Vec:
     from . import pell
 
     b, c, r = L.b, L.c, L.r
-    if c == 0:
-        raise ValueError("the conic degenerates for c = 0")
     if pell.is_square(r):
         raise ValueError("no infinite-order isometry exists for square discriminant")
     _, u = pell.fundamental_solution(r)

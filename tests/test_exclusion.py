@@ -101,10 +101,13 @@ def test_antiflip_cells_cover_the_degree_range():
 
 
 def test_antiflip_quadratic_does_not_depend_on_b():
-    """Over every configuration _cell_solutions tries, k = (b*e + gamma*r)/4
-    with e = 16 - d, so the beta-quadratic's coefficients are r(rp - e^2)/4,
-    2*gamma*r and 4 + 2e^2: one quadratic per (cell, gamma), whatever b is."""
+    """Over every configuration, k = (b*e + gamma*r)/4 with e = 16 - d, so the
+    beta-quadratic's coefficients are r(rp - e^2)/4, 2*gamma*r and 4 + 2e^2:
+    one quadratic per (cell, gamma), whatever b is. Solving each b's own
+    quadratic and filtering alpha and beta is the per-b reference enumeration;
+    it must rebuild the report's witnesses in (cell, gamma, b, beta) order."""
     seen = 0
+    witnesses = []
     for pa, d in exclusion._cells():
         rp, e = d * d - 8 * (pa - 1), 16 - d
         for gamma in range(-15, 16):
@@ -119,10 +122,38 @@ def test_antiflip_quadratic_does_not_depend_on_b():
                 c, delta = (b * b - r) // 8, (d - b * gamma) // 4
                 k = b * (4 - delta) - 2 * c * gamma
                 seen += 1
+                a2 = 4 * k * k - 2 * b * k * e + 2 * c * e * e
+                a1 = 8 * k - 2 * b * e
+                a0 = 4 + 2 * e * e
                 assert 4 * k == b * e + gamma * r
-                assert 4 * (4 * k * k - 2 * b * k * e + 2 * c * e * e) == r * (rp - e * e)
-                assert 8 * k - 2 * b * e == 2 * gamma * r
-    assert seen == exclusion.antiflip_report().configurations == 1590
+                assert 4 * a2 == r * (rp - e * e)
+                assert a1 == 2 * gamma * r
+                for beta in exclusion._integer_roots(a2, a1, a0):
+                    if (1 + k * beta) % e:
+                        continue
+                    alpha = -(1 + k * beta) // e
+                    if 4 * alpha + b * beta > 0:
+                        witnesses.append(
+                            exclusion.AntiflipSolution(pa, d, b, c, gamma, delta, alpha, beta))
+    rep = exclusion.antiflip_report()
+    assert seen == rep.configurations == 1590
+    assert tuple(witnesses) == rep.witnesses
+    assert len(witnesses) == 8
+
+
+def test_antiflip_solves_one_quadratic_per_cell_and_gamma(monkeypatch):
+    """The 1,590 configurations share 392 (cell, gamma) quadratics."""
+    calls = []
+    roots = exclusion._integer_roots
+
+    def counted(a2, a1, a0):
+        calls.append((a2, a1, a0))
+        return roots(a2, a1, a0)
+
+    monkeypatch.setattr(exclusion, "_integer_roots", counted)
+    rep = exclusion.antiflip_report()
+    assert rep.configurations == 1590
+    assert len(calls) == 392
 
 
 def test_antiflip_is_order_independent():

@@ -115,10 +115,13 @@ def test_minimal_quadeq_matches_unit_step_oracle():
 
 
 def test_minimal_quadeq_rejects_square_disc():
-    with pytest.raises(ValueError):
+    """One refusal per square-discriminant lattice, whatever the model: the
+    c = 0 models (r = b^2) get the same reason as the others."""
+    with pytest.raises(ValueError, match="square discriminant"):
         isometry.minimal_quadeq_solution(QuarticLattice(1, -1))  # r = 9
-    with pytest.raises(ValueError):
-        isometry.minimal_quadeq_solution(QuarticLattice(4, 0))  # c = 0
+    for b in range(3, 13):
+        with pytest.raises(ValueError, match="square discriminant"):
+            isometry.minimal_quadeq_solution(QuarticLattice(b, 0))  # r = b^2
 
 
 def test_reflection_examples():
