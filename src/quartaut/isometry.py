@@ -18,6 +18,7 @@ surface.classify_aut; aut_generators reads it back.
 """
 from __future__ import annotations
 
+from . import pell
 from . import surface as surf
 from .lattice import Mat, Vec, mat_mul, mat_transpose, reflection_in
 
@@ -101,8 +102,6 @@ def minimal_quadeq_solution(L: surf.QuarticLattice) -> Vec:
     """
     from math import gcd, isqrt
 
-    from . import pell
-
     b, c, r = L.b, L.c, L.r
     if pell.is_square(r):
         raise ValueError("no infinite-order isometry exists for square discriminant")
@@ -159,10 +158,14 @@ def generators_for(L: surf.QuarticLattice, tag: str, axes: list[Vec]) -> list[Ma
 def minimal_gluing_exponent(L: surf.QuarticLattice) -> int:
     """The k for which aut_generators returns h^k in the infinite case.
 
-    torelli_ok runs once, on h^k, as its answer is the same for every power:
-    yes with no (-2)-class; no when (-2)-walls bound the ample chamber on
-    both sides, since no hyperbolic isometry maps a bounded chamber to itself.
+    A (-2)-class on nonsquare r is refused before the conic scan: its walls
+    bound the ample chamber on both sides, and no hyperbolic isometry maps
+    a bounded chamber to itself. torelli_ok then runs once, on h^k, as its
+    answer is the same for every power.
     """
+    if not pell.is_square(L.r) and surf.class_with_square_exists(L, -2) is not None:
+        raise RuntimeError("(-2)-walls bound the ample chamber, so no power of the "
+                           "minimal isometry sends H to an ample class")
     hk, k = _gluing_power(L)
     if not torelli_ok(L, hk):
         raise RuntimeError("h^%d glues, but with (-2)-walls no power of the "

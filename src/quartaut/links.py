@@ -16,11 +16,13 @@ the current frame into the Gram of its row's source frame.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import surface as surf
 from .lattice import (GramLattice, IDENTITY, Mat, change_basis, mat_inv_unimodular, mat_mul,
                       reflection_in)
+
+if TYPE_CHECKING:
+    from . import surface as surf
 
 _AMBIENT_SQUARE = {"P3": 4, "X5": 10}
 

@@ -13,6 +13,10 @@ r = b^2 - 8c. Everything downstream keys off r:
   wall of delta grows with H.delta, so on each side the wall of least degree
   is the nearest one. It is read at the least-|y| class of its automorph
   orbit or at a neighbour of that class (_chamber_walls);
+* an ample square-2 class A is read off the two walls delta1, delta2: the
+  reflection x -> (A.x)A - x fixes A, so it maps the chamber to itself and
+  swaps the walls, giving (A.delta1)A = delta1 + delta2 with
+  n = A.delta1 >= 1 and n^2 = delta1.delta2 - 2 (ample_square2_axes);
 * the automorphism group of a general surface with this Picard lattice is
   one of: trivial, Z/2, Z/2 * Z/2 (free product), or Z, decided by which
   class squares occur (classify_aut).
@@ -278,6 +282,8 @@ def _least_degree_each_side(L: QuarticLattice, starts: list[Vec]) -> list[Vec]:
     minimum or at its neighbour across the flip, and D, T*D and T^-1*D
     (T the automorph) are all that need reading.
     """
+    if not starts:
+        return []
     steps: tuple[Mat, ...] = ()
     if not pell.is_square(L.r):
         T = automorph(L)
@@ -305,47 +311,35 @@ def is_ample(L: QuarticLattice, A: Vec) -> bool:
     )
 
 
-def _ample_representative(L: QuarticLattice, A: Vec, walls: list[Vec]) -> Vec:
-    """Reflect a square-2 class across violated chamber walls until it is ample.
-
-    Each reflection strictly decreases A.H while the Weyl group preserves the
-    half-cone of H, so the loop terminates; a square-2 class cannot lie on a
-    wall (that would force discriminant 1 or 4), so progress is guaranteed.
-    """
-    if L.dot(H, A) < 0:
-        A = (-A[0], -A[1])
-    while True:
-        for w in walls:
-            p = L.dot(A, w)
-            if p <= 0:
-                assert p < 0, "square-2 class on a wall; discriminant should forbid this"
-                A = (A[0] + p * w[0], A[1] + p * w[1])
-                break
-        else:
-            return A
-
-
 def ample_square2_axes(L: QuarticLattice, walls: list[Vec] | None = None) -> list[Vec]:
-    """The distinguished ample square-2 classes, sorted by _pell_key.
-    Empty when no congruent square-2 class exists, and so on every square
-    r = t^2 (t >= 3, as 1 and 4 are forbidden): x^2 - t^2*y^2 = 8 needs
-    x - ty and x + ty even with product 8, so 2ty = ±2. walls, when given,
-    are _chamber_walls(L).
+    """The distinguished ample square-2 classes, sorted by _pell_key. walls,
+    when given, are _chamber_walls(L).
 
-    With effective (-2)-classes present the ample chamber is cut out by
-    its two walls and every congruent Pell orbit reflects into it. With no
-    walls every positive square-2 class is ample, and the generators of the
-    reflection group are the two classes of least degree, one on each side
-    of H (y < 0 and y > 0 after normalizing A.H > 0).
+    With no walls every positive square-2 class is ample, and the generators
+    of the reflection group are the two classes of least degree, one on each
+    side of H (y < 0 and y > 0 after normalizing A.H > 0).
+
+    With two walls delta1, delta2 (distinct irreducible curves spanning a
+    hyperbolic plane, so delta1.delta2 >= 3) there is at most one axis A. The
+    reflection x -> (A.x)A - x fixes A, so it maps the chamber to itself and
+    swaps the walls (both delta1 and its image pair positively with A). Hence
+    (A.delta1)A = delta1 + delta2 with n = A.delta1 >= 1 and
+    n^2 = delta1.delta2 - 2; conversely, when that n is an integer dividing
+    delta1 + delta2, (delta1 + delta2)/n has square 2, pairs n with each
+    wall and is ample. A single wall occurs only on square r = t^2, which
+    has no square-2 class: x^2 - t^2*y^2 = 8 needs x - ty and x + ty even
+    with product 8, so 2ty = ±2, and t >= 3 as 1 and 4 are forbidden.
     """
-    reps = _classes_of_square(L, 2)
-    if not reps:
-        return []
     walls = _chamber_walls(L) if walls is None else walls
     if not walls:
-        return _least_degree_each_side(L, reps)
-    axes = {_ample_representative(L, D, walls) for D in reps}
-    return sorted(axes, key=lambda A: _pell_key(L, A))
+        return _least_degree_each_side(L, _classes_of_square(L, 2))
+    if len(walls) == 1:
+        return []
+    d1, d2 = walls
+    s, m = (d1[0] + d2[0], d1[1] + d2[1]), L.dot(d1, d2) - 2
+    if (n := isqrt(m)) * n != m or s[0] % n or s[1] % n:
+        return []
+    return [(s[0] // n, s[1] // n)]
 
 
 def classify_aut(L: QuarticLattice) -> AutKind:

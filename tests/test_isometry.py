@@ -213,22 +213,29 @@ def test_gluing_power_beyond_paper_range():
     assert found == Z_BEYOND_PAPER
 
 
+def _scan_must_not_run(L):
+    raise AssertionError("conic scan on a lattice with a (-2)-class")
+
+
 def test_walls_refuse_every_gluing_power(monkeypatch):
-    refusal = r" glues, but with \(-2\)-walls no power"
-    walled = []
-    for r in range(9, 58):
-        if r % 8 not in (0, 1, 4) or isqrt(r) ** 2 == r:
-            continue
-        L = QuarticLattice.from_disc(r)
-        if class_with_square_exists(L, -2) is None:
-            continue
-        walled.append(r)
-        with pytest.raises(RuntimeError, match=r"h\^\d+" + refusal):
-            isometry.minimal_gluing_exponent(L)
+    refusal = r"no power of the minimal isometry sends H to an ample class"
+    walls_refusal = r"^\(-2\)-walls bound the ample chamber, so " + refusal
+    walled = [r for r in range(9, 58)
+              if r % 8 in (0, 1, 4) and isqrt(r) ** 2 != r
+              and class_with_square_exists(QuarticLattice.from_disc(r), -2) is not None]
     assert walled == [12, 17, 24, 33, 41, 44, 57]
-    # the refusal names the power that glues: h^4 at r = 48
+    for r in walled:
+        L = QuarticLattice.from_disc(r)
+        with pytest.raises(RuntimeError, match=walls_refusal):
+            isometry.minimal_gluing_exponent(L)
+        # the lattice decides the refusal: the conic scan never runs
+        with monkeypatch.context() as m, pytest.raises(RuntimeError, match=walls_refusal):
+            m.setattr(isometry, "minimal_quadeq_solution", _scan_must_not_run)
+            isometry.minimal_gluing_exponent(L)
+    # without (-2)-classes torelli_ok still runs on h^k, and a refusal there
+    # names the power that glues: h^4 at r = 48
     monkeypatch.setattr(isometry, "torelli_ok", lambda L, m: False)
-    with pytest.raises(RuntimeError, match=r"h\^4" + refusal):
+    with pytest.raises(RuntimeError, match=r"h\^4 glues, but with \(-2\)-walls " + refusal):
         isometry.minimal_gluing_exponent(curve_model(48)[0])
 
 

@@ -30,7 +30,7 @@ print(code, sorted(m for m in sys.modules if m.split(".")[0] == "quartaut"), fil
 
 @pytest.mark.parametrize("argv, modules", [
     (["pell", "--r", "17", "--n", "8"], {"quartaut.pell"}),
-    (["link"], {"quartaut.links", "quartaut.surface", "quartaut.lattice", "quartaut.pell"}),
+    (["link"], {"quartaut.links", "quartaut.lattice"}),
     (["exclusion"], {"quartaut.exclusion"}),
 ])
 def test_cli_imports_only_the_layers_a_command_uses(argv, modules):

@@ -258,16 +258,24 @@ def test_classify_aut_returns_the_witnesses_that_decide_its_tag():
 def test_classify_asks_each_pell_question_once(monkeypatch):
     """One classify_aut on every canonical model with 9 <= r <= 260 asks
     pell.solution_class_reps at most once per (r, n): the (-2)-classes give
-    the obstruction, the chamber walls and the ampleness test of h^k."""
+    the obstruction, the chamber walls and the ampleness test of h^k. With
+    a (-2)-class the axis is read off the walls, so (r, 8) is never asked."""
     asked, real = [], pell.solution_class_reps
     monkeypatch.setattr(pell, "solution_class_reps",
                         lambda D, n: asked.append((D, n)) or real(D, n))
+    walled = 0
     for r in range(9, 261):
         if r % 8 not in (0, 1, 4):
             continue
+        L = QuarticLattice(*canonical_bc(r))
         asked.clear()
-        classify_aut(QuarticLattice(*canonical_bc(r)))
-        assert len(asked) == len(set(asked)), (r, asked)
+        classify_aut(L)
+        questions = set(asked)
+        assert len(asked) == len(questions), (r, asked)
+        if class_with_square_exists(L, -2) is not None:
+            walled += 1
+            assert (r, 8) not in questions, (r, asked)
+    assert walled == 31
 
 
 def test_hyperplane_is_ample():
@@ -300,44 +308,61 @@ def test_is_ample_matches_brute_force():
     assert not is_ample(QuarticLattice(3, 0), (2, -1))
 
 
-def _least_y_each_side(L, k, box):
-    """The normalized class of square k with least |y| <= box on each side
-    of H, by trying y = ±1, ±2, ...: r*y^2 + 4k = x^2 with x > 0 and
-    x ≡ b*y (mod 4) gives D = ((x - b*y)/4, y) with D.H = x."""
+def _classes_in_box(L, k, box):
+    """Every normalized class of square k with 0 < |y| <= box, by trying each
+    y: r*y^2 + 4k = x^2 with x > 0 and x ≡ b*y (mod 4) gives
+    D = ((x - b*y)/4, y) with D.H = x."""
     found = []
-    for side in (-1, 1):
-        for y in range(side, side * (box + 1), side):
-            v = L.r * y * y + 4 * k
-            x = isqrt(max(v, 0))
-            if x and x * x == v and (x - L.b * y) % 4 == 0:
-                found.append(((x - L.b * y) // 4, y))
-                break
+    for y in range(-box, box + 1):
+        v = L.r * y * y + 4 * k
+        x = isqrt(max(v, 0))
+        if y and x * x == v and (x - L.b * y) % 4 == 0:
+            found.append(((x - L.b * y) // 4, y))
     return found
 
 
+def _least_y_each_side(L, k, box):
+    """The class of _classes_in_box with least |y| on each side of H."""
+    found = _classes_in_box(L, k, box)
+    sides = ([D for D in found if D[1] < 0], [D for D in found if D[1] > 0])
+    return [min(side, key=lambda D: abs(D[1])) for side in sides if side]
+
+
 def test_walls_and_axes_match_least_y_search():
-    """Every model with b < 8 and 9 <= r <= 600, square r included: within
+    """Every model with b < 8 and 9 <= r <= 900, square r included: within
     |y| <= 100 the chamber walls are the least-|y| (-2)-classes on each side
-    of H, and with no walls or on square r so are the square-2 axes (on
-    square r both sides are empty). On a side the degree grows with |y|, so
-    least |y| is least degree."""
+    of H. With no walls or on square r so are the square-2 axes (on square
+    r both sides are empty); with walls on nonsquare r the axes are the
+    square-2 classes that pair positively with both brute-force walls, and
+    there is at most one. On a side the degree grows with |y|, so least |y|
+    is least degree."""
     box = 100
-    mismatches = []
+    mismatches, walled, with_axis, axis_in_box = [], 0, 0, 0
     for b in range(8):
-        for r in range(9, 601):
+        for r in range(9, 901):
             if (r - b * b) % 8:
                 continue
             L = QuarticLattice(b, (b * b - r) // 8)
-            walls = surface._chamber_walls(L)
-            checks = [(-2, walls)]
+            walls, want_walls = surface._chamber_walls(L), _least_y_each_side(L, -2, box)
+            axes = ample_square2_axes(L)
             if not walls or pell.is_square(r):
-                checks.append((2, ample_square2_axes(L)))
-            for k, got in checks:
+                want_axes = _least_y_each_side(L, 2, box)
+                if pell.is_square(r) and axes:
+                    mismatches.append((b, r, axes))
+            else:
+                want_axes = [D for D in _classes_in_box(L, 2, box)
+                             if all(L.dot(D, w) > 0 for w in want_walls)]
+                walled += 1
+                with_axis += bool(axes)
+                axis_in_box += bool(want_axes)
+                if len(axes) > 1:
+                    mismatches.append((b, r, axes))
+            for got, want in ((walls, want_walls), (axes, want_axes)):
                 inside = sorted(D for D in got if abs(D[1]) <= box)
-                if inside != sorted(_least_y_each_side(L, k, box)) or (
-                        k == 2 and pell.is_square(r) and got):
-                    mismatches.append((b, r, k, got))
+                if inside != sorted(want):
+                    mismatches.append((b, r, got, want))
     assert not mismatches, mismatches[:5]
+    assert (walled, with_axis, axis_in_box) == (286, 116, 52)
 
 
 def _models_for(r, shifts=(0, 1, -1, 2, -2, 3)):
