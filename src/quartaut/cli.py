@@ -160,8 +160,9 @@ def cmd_pell(args) -> tuple[dict, int]:
     if reps is not None:
         results["orbit_representatives"] = [list(s) for s in reps]
     if args.bound is not None:
+        # the trivial (0, 0) of n = 0 is no solution, as in pell.solve
         results["solutions_up_to_bound"] = [
-            list(s) for s in pell.solutions_up_to(r, args.n, args.bound)
+            list(s) for s in pell.solutions_up_to(r, args.n, args.bound) if any(s)
         ]
     return results, EXIT_OK
 

@@ -154,8 +154,8 @@ def _cells() -> list[tuple[int, int]]:
     return [(pa, d) for d in range(1, _DEGREE_CAP) for pa in range(d * d // 8 + 1)]
 
 
-def _cell_solutions(pa: int, d: int, counter: list[int] | None = None) -> list[AntiflipSolution]:
-    """All integer solutions of the anti-flip system for one (p_a, d).
+def _cell_solutions(pa: int, d: int) -> tuple[int, list[AntiflipSolution]]:
+    """(configurations scanned, integer solutions) of the anti-flip system for (p_a, d).
 
     A cell has 0 <= 8*p_a <= d^2 and d < _DEGREE_CAP, so its curve
     discriminant rp = d^2 - 8(p_a - 1) lies in [8, (_DEGREE_CAP - 1)^2 + 8],
@@ -170,7 +170,7 @@ def _cell_solutions(pa: int, d: int, counter: list[int] | None = None) -> list[A
     checks run only when it has integer roots, which few (cell, gamma) do."""
     rp = d * d - 8 * (pa - 1)
     e = 16 - d
-    found = []
+    configurations, found = 0, []
     g = isqrt(rp)
     for gamma in range(-g, g + 1):
         if gamma == 0 or rp % (gamma * gamma):
@@ -179,8 +179,7 @@ def _cell_solutions(pa: int, d: int, counter: list[int] | None = None) -> list[A
         if r in _FORBIDDEN_DISCS:
             continue
         bs = [b for b in range(1, 16) if not (b * b - r) % 8 and not (d - b * gamma) % 4]
-        if counter is not None:
-            counter[0] += len(bs)
+        configurations += len(bs)
         roots = _integer_roots(r * (rp - e * e) // 4, 2 * gamma * r, 4 + 2 * e * e) if bs else []
         if not roots:
             continue
@@ -195,19 +194,20 @@ def _cell_solutions(pa: int, d: int, counter: list[int] | None = None) -> list[A
                 if 4 * alpha + b * beta <= 0:
                     continue
                 found.append(AntiflipSolution(pa, d, b, c, gamma, delta, alpha, beta))
-    return found
+    return configurations, found
 
 
 def antiflip_report() -> AntiflipReport:
-    counter = [0]
+    configurations = 0
     solvable = set()
     witnesses = []
     for pa, d in _cells():
-        sols = _cell_solutions(pa, d, counter)
+        n, sols = _cell_solutions(pa, d)
+        configurations += n
         if sols:
             solvable.add((pa, d))
             witnesses.extend(sols)
-    return AntiflipReport(frozenset(solvable), counter[0], tuple(witnesses))
+    return AntiflipReport(frozenset(solvable), configurations, tuple(witnesses))
 
 
 def antiflip_exhaustion() -> set[tuple[int, int]]:

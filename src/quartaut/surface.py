@@ -311,9 +311,8 @@ def is_ample(L: QuarticLattice, A: Vec) -> bool:
     )
 
 
-def ample_square2_axes(L: QuarticLattice, walls: list[Vec] | None = None) -> list[Vec]:
-    """The distinguished ample square-2 classes, sorted by _pell_key. walls,
-    when given, are _chamber_walls(L).
+def ample_square2_axes(L: QuarticLattice) -> list[Vec]:
+    """The distinguished ample square-2 classes, sorted by _pell_key.
 
     With no walls every positive square-2 class is ample, and the generators
     of the reflection group are the two classes of least degree, one on each
@@ -330,7 +329,11 @@ def ample_square2_axes(L: QuarticLattice, walls: list[Vec] | None = None) -> lis
     has no square-2 class: x^2 - t^2*y^2 = 8 needs x - ty and x + ty even
     with product 8, so 2ty = ±2, and t >= 3 as 1 and 4 are forbidden.
     """
-    walls = _chamber_walls(L) if walls is None else walls
+    return _axes(L, _chamber_walls(L))
+
+
+def _axes(L: QuarticLattice, walls: list[Vec]) -> list[Vec]:
+    """ample_square2_axes(L), given walls = _chamber_walls(L)."""
     if not walls:
         return _least_degree_each_side(L, _classes_of_square(L, 2))
     if len(walls) == 1:
@@ -353,13 +356,11 @@ def classify_aut(L: QuarticLattice) -> AutKind:
     P2 come back as the record's obstruction and axes. The (-2)-classes are
     read once and give both the obstruction and the chamber walls.
     """
+    neg2 = _classes_of_square(L, -2)
     obstruction = class_with_square_exists(L, 0)
-    walls = None
-    if obstruction is None:
-        neg2 = _classes_of_square(L, -2)
-        obstruction = neg2[0] if neg2 else None
-        walls = _least_degree_each_side(L, neg2)
-    axes = ample_square2_axes(L, walls)
+    if obstruction is None and neg2:
+        obstruction = neg2[0]
+    axes = _axes(L, _least_degree_each_side(L, neg2))
     if obstruction:
         tag = "Z2" if axes else "Trivial"
     else:

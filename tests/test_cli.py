@@ -107,6 +107,20 @@ def test_pell_unsolvable(capsys):
     assert rep["results"]["orbit_representatives"] == []
 
 
+def test_pell_zero_lists_no_trivial_solution(capsys):
+    """For n = 0 the trivial (0, 0) is no solution, as in pell.solve."""
+    code, rep = run_json(capsys, "pell", "--r", "2", "--n", "0", "--bound", "3")
+    assert code == 0
+    assert rep["results"]["solvable"] is False
+    assert rep["results"]["solutions_up_to_bound"] == []
+    code, rep = run_json(capsys, "pell", "--r", "9", "--n", "0", "--bound", "2")
+    assert code == 0
+    assert rep["results"]["witness"] == [3, 1]
+    assert sorted(map(tuple, rep["results"]["solutions_up_to_bound"])) == sorted(
+        (x * s, y * t) for x, y in ((3, 1), (6, 2)) for s in (-1, 1) for t in (-1, 1)
+    )
+
+
 def test_pell_bad_inputs(capsys):
     code, rep = run_json(capsys, "pell", "--r", "0", "--n", "8")
     assert code == 2
@@ -297,7 +311,7 @@ def test_layer_runtime_error_becomes_a_report_with_exit_3(capsys, monkeypatch):
 
 
 def test_classify_computes_each_witness_once(capsys, monkeypatch):
-    calls = {"class_with_square_exists": 0, "ample_square2_axes": 0}
+    calls = {"class_with_square_exists": 0, "_axes": 0}
     for name in calls:
         def counted(*a, _f=getattr(surface, name), _name=name, **kw):
             calls[_name] += 1
@@ -305,7 +319,7 @@ def test_classify_computes_each_witness_once(capsys, monkeypatch):
         monkeypatch.setattr(surface, name, counted)
     code, _ = run_json(capsys, "classify", "--r", "48", "--no-timestamp")
     assert code == 0
-    assert calls == {"class_with_square_exists": 1, "ample_square2_axes": 1}
+    assert calls == {"class_with_square_exists": 1, "_axes": 1}
 
 
 def test_reports_are_deterministic(capsys):

@@ -9,7 +9,7 @@ from quartaut.lattice import IDENTITY, mat_mul, mat_pow, mat_vec
 from quartaut.surface import (
     H, QuarticLattice, canonical_bc, class_with_square_exists, classify_aut, curve_model,
 )
-from quartaut import isometry
+from quartaut import isometry, pell
 
 L17 = QuarticLattice(11, 13)
 M17 = ((19, 72), (-5, -19))
@@ -232,11 +232,17 @@ def test_walls_refuse_every_gluing_power(monkeypatch):
         with monkeypatch.context() as m, pytest.raises(RuntimeError, match=walls_refusal):
             m.setattr(isometry, "minimal_quadeq_solution", _scan_must_not_run)
             isometry.minimal_gluing_exponent(L)
-    # without (-2)-classes torelli_ok still runs on h^k, and a refusal there
-    # names the power that glues: h^4 at r = 48
-    monkeypatch.setattr(isometry, "torelli_ok", lambda L, m: False)
-    with pytest.raises(RuntimeError, match=r"h\^4 glues, but with \(-2\)-walls " + refusal):
-        isometry.minimal_gluing_exponent(curve_model(48)[0])
+    # past the refusal there is no (-2)-class, so h^k(H) is ample unchecked:
+    # the refusal's own question is the only (r, -8) one asked
+    asked, real = [], pell.solution_class_reps
+    monkeypatch.setattr(pell, "solution_class_reps",
+                        lambda D, n: asked.append((D, n)) or real(D, n))
+    models = [curve_model(r)[0] for r in (20, 32, 40, 48)]
+    models += [QuarticLattice.from_disc(r) for r in Z_BEYOND_PAPER]
+    for L in models:
+        asked.clear()
+        isometry.minimal_gluing_exponent(L)
+        assert asked.count((L.r, -8)) == 1, (L, asked)
 
 
 def test_trivial_case_has_no_generators():

@@ -258,8 +258,8 @@ def test_classify_aut_returns_the_witnesses_that_decide_its_tag():
 def test_classify_asks_each_pell_question_once(monkeypatch):
     """One classify_aut on every canonical model with 9 <= r <= 260 asks
     pell.solution_class_reps at most once per (r, n): the (-2)-classes give
-    the obstruction, the chamber walls and the ampleness test of h^k. With
-    a (-2)-class the axis is read off the walls, so (r, 8) is never asked."""
+    both the obstruction and the chamber walls. With a (-2)-class the axis
+    is read off the walls, so (r, 8) is never asked."""
     asked, real = [], pell.solution_class_reps
     monkeypatch.setattr(pell, "solution_class_reps",
                         lambda D, n: asked.append((D, n)) or real(D, n))
