@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -106,7 +107,6 @@ def _resolve_model(args):
 
 
 def cmd_classify(args) -> tuple[dict, int]:
-    from . import exclusion
     from . import surface as surf
 
     L, err = _resolve_model(args)
@@ -129,14 +129,22 @@ def cmd_classify(args) -> tuple[dict, int]:
         results["curve"] = {"gd": list(gd), "class": list(C) if C else None}
     else:
         results["curve"] = None
-    if L.r not in exclusion.admissible_discriminants().admissible:
-        results["caveat"] = (
-            f"discriminant {L.r} is not realized by any rank-2 quartic in the "
-            "classification (admissible range: 8 < r <= 57 dividing a curve "
-            "discriminant); classification computed for reference"
-        )
-        return results, EXIT_BAD_INPUT
-    return results, EXIT_OK
+    return _with_caveat(results, EXIT_OK)
+
+
+def _with_caveat(results: dict, code: int) -> tuple[dict, int]:
+    """(results, code), or a caveat and exit 2 when results["r"] is not admissible."""
+    from . import exclusion
+
+    r = results["r"]
+    if r in exclusion.admissible_discriminants().admissible:
+        return results, code
+    results["caveat"] = (
+        f"discriminant {r} is not realized by any rank-2 quartic in the "
+        f"classification (admissible range: 8 < r <= {exclusion.DISC_BOUND} "
+        "dividing a curve discriminant); classification computed for reference"
+    )
+    return results, EXIT_BAD_INPUT
 
 
 def cmd_pell(args) -> tuple[dict, int]:
@@ -227,9 +235,9 @@ def cmd_realize(args) -> tuple[dict, int]:
         return err, EXIT_BAD_INPUT
     kind = surf.classify_aut(L)
     if kind.tag == "Trivial":
-        return ({"r": L.r, "model": [L.b, L.c], "tag": kind.tag,
-                 "error": "the automorphism group is trivial; nothing to realize"},
-                EXIT_BAD_INPUT)
+        return _with_caveat({"r": L.r, "model": [L.b, L.c], "tag": kind.tag,
+                             "error": "the automorphism group is trivial; nothing to realize"},
+                            EXIT_BAD_INPUT)
     items = []
     code = EXIT_OK
     for g in kind.generators:
@@ -240,7 +248,8 @@ def cmd_realize(args) -> tuple[dict, int]:
             code = EXIT_SEARCH_EXHAUSTED
             continue
         items.append({"generator": _mat(g), **links.word_to_json(word, g)})
-    return {"r": L.r, "model": [L.b, L.c], "tag": kind.tag, "realizations": items}, code
+    return _with_caveat(
+        {"r": L.r, "model": [L.b, L.c], "tag": kind.tag, "realizations": items}, code)
 
 
 def cmd_exclusion(args) -> tuple[dict, int]:
@@ -389,12 +398,18 @@ def main(argv=None) -> int:
         from datetime import datetime, timezone
 
         rep["timestamp"] = datetime.now(timezone.utc).isoformat()
-    if args.json:
-        print(json.dumps(rep, indent=2))
-    elif args.command == "verify-paper":
-        _emit_verify_text(rep)
-    else:
-        _emit(rep)
+    try:
+        if args.json:
+            print(json.dumps(rep, indent=2))
+        elif args.command == "verify-paper":
+            _emit_verify_text(rep)
+        else:
+            _emit(rep)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: quiet the flush at exit, keep the command's code
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     return code
 
 

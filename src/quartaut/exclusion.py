@@ -31,11 +31,6 @@ CURVE_PAIRS = (
     (10, 10), (11, 10), (14, 11),
 )
 
-MODEL_PAIRS = frozenset({
-    (2, 8), (3, 6), (3, 8), (4, 8), (5, 8),
-    (6, 9), (10, 10), (11, 10), (14, 11),
-})
-
 DISC_BOUND = 57
 
 _DEGREE_CAP = 16
@@ -107,7 +102,11 @@ class AntiflipReport(NamedTuple):
 
 
 def curve_list() -> CurveList:
-    return CurveList(CURVE_PAIRS, MODEL_PAIRS)
+    """The 34 classified (g, d) pairs, with the nine whose blow-up starts a
+    link of links.catalog() as the model pairs."""
+    from . import links
+
+    return CurveList(CURVE_PAIRS, frozenset(rec.gd for rec in links.catalog()))
 
 
 def rprime_list() -> list[int]:

@@ -57,31 +57,30 @@ def torelli_ok(L: surf.QuarticLattice, m: Mat) -> bool:
     return surf.is_ample(L, (m[0][0], m[1][0]))
 
 
-def involution_form(L: surf.QuarticLattice, alpha: int, beta: int) -> Mat | None:
-    """The trace-zero isometry ((alpha, beta), ((-b*alpha + 2*beta)/c, -alpha)),
-    or None when the lower-left entry is not an integer.
-
-    (alpha, beta) must satisfy c*alpha^2 - b*alpha*beta + 2*beta^2 = c.
-    """
+def _check_on_conic(L: surf.QuarticLattice, alpha: int, beta: int) -> None:
+    """ValueError unless c != 0 and (alpha, beta) solves c*a^2 - b*a*t + 2*t^2 = c."""
     b, c = L.b, L.c
     if c == 0:
-        raise ValueError("the involution family is undefined for c = 0")
+        raise ValueError("the isometry families are undefined for c = 0")
     if c * alpha * alpha - b * alpha * beta + 2 * beta * beta != c:
-        raise ValueError("(alpha, beta) does not solve the involution conic")
-    num = -b * alpha + 2 * beta
-    if num % c:
+        raise ValueError("(alpha, beta) = (%d, %d) does not solve the conic" % (alpha, beta))
+
+
+def involution_form(L: surf.QuarticLattice, alpha: int, beta: int) -> Mat | None:
+    """The trace-zero isometry ((alpha, beta), ((-b*alpha + 2*beta)/c, -alpha))
+    of a conic point, or None when the lower-left entry is not an integer."""
+    _check_on_conic(L, alpha, beta)
+    num = -L.b * alpha + 2 * beta
+    if num % L.c:
         return None
-    return ((alpha, beta), (num // c, -alpha))
+    return ((alpha, beta), (num // L.c, -alpha))
 
 
 def infinite_order_form(L: surf.QuarticLattice, alpha: int, beta: int) -> Mat | None:
-    """The determinant-one isometry ((alpha, beta), (-2*beta/c, alpha - b*beta/c)),
-    or None when an entry is not an integer."""
+    """The determinant-one isometry ((alpha, beta), (-2*beta/c, alpha - b*beta/c))
+    of a conic point, or None when an entry is not an integer."""
+    _check_on_conic(L, alpha, beta)
     b, c = L.b, L.c
-    if c == 0:
-        raise ValueError("the infinite-order family is undefined for c = 0")
-    if c * alpha * alpha - b * alpha * beta + 2 * beta * beta != c:
-        raise ValueError("(alpha, beta) does not solve the conic")
     if (2 * beta) % c or (b * beta) % c:
         return None
     return ((alpha, beta), (-2 * beta // c, alpha - b * beta // c))
@@ -139,20 +138,13 @@ def reflection(L: surf.QuarticLattice, A: Vec) -> Mat:
 
 
 def generators_for(L: surf.QuarticLattice, tag: str, axes: list[Vec]) -> list[Mat]:
-    """Generator matrices for a classify_aut tag; axes are the ample square-2
-    classes already sorted by their Pell key."""
-    if tag == "Trivial":
-        return []
-    if tag in ("Z2", "Z2starZ2"):
-        expected = 1 if tag == "Z2" else 2
-        if len(axes) != expected:
-            raise RuntimeError(
-                "tag %s expects %d ample square-2 classes, found %d"
-                % (tag, expected, len(axes))
-            )
-        return [reflection(L, A) for A in axes]
-    # tag == "Z": no (-2)-class, so every power of h passes torelli_ok
-    return [_gluing_power(L)[0]]
+    """Generator matrices for a classify_aut tag: h^k for Z, otherwise the
+    reflections in the axes, the ample square-2 classes already sorted by
+    their Pell key (none for Trivial). AutKind checks the count."""
+    if tag == "Z":
+        # no (-2)-class, so every power of h passes torelli_ok
+        return [_gluing_power(L)[0]]
+    return [reflection(L, A) for A in axes]
 
 
 def minimal_gluing_exponent(L: surf.QuarticLattice) -> int:

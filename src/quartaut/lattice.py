@@ -37,11 +37,6 @@ class GramLattice(NamedTuple("GramLattice", [("q11", int), ("q12", int), ("q22",
         return {"q": [[self.q11, self.q12], [self.q12, self.q22]]}
 
 
-class BasisChange(NamedTuple):
-    lattice: GramLattice
-    index: int  # |det B|; 1 means a genuine basis change, >1 a finite-index sublattice
-
-
 def pairing(L: GramLattice, u: Vec, v: Vec) -> int:
     """Symmetric bilinear value u^T Q v; pairing(L, u, u) is the self-intersection."""
     return (
@@ -110,14 +105,11 @@ def mat_transpose(m: Mat) -> Mat:
     return ((m[0][0], m[1][0]), (m[0][1], m[1][1]))
 
 
-def change_basis(L: GramLattice, B: Mat) -> BasisChange:
-    """Gram matrix B^T Q B in the new basis; disc multiplies by (det B)^2.
-
-    |det B| > 1 is allowed (finite-index sublattice) and flagged via the index
-    field of the result; det B = 0 is rejected.
-    """
-    d = mat_det(B)
-    if d == 0:
+def change_basis(L: GramLattice, B: Mat) -> GramLattice:
+    """The Gram matrix B^T Q B of the columns of B; disc multiplies by (det B)^2.
+    |det B| > 1 is allowed (the columns span a sublattice of that index);
+    det B = 0 is rejected."""
+    if mat_det(B) == 0:
         raise ValueError("basis-change matrix must be nonsingular")
     g = mat_mul(mat_transpose(B), mat_mul(L.gram(), B))
-    return BasisChange(GramLattice(g[0][0], g[0][1], g[1][1]), abs(d))
+    return GramLattice(g[0][0], g[0][1], g[1][1])

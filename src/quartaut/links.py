@@ -172,7 +172,7 @@ def realize_generator(L: surf.QuarticLattice, target: Mat) -> LinkWord | None:
         if rec.target == "P3" and m == target:
             return LinkWord((LinkStep(rec, B),))
     for rec1, B1, m1 in firsts:
-        cur = change_basis(base, m1).lattice
+        cur = change_basis(base, m1)
         for rec2, want in _CLOSERS:
             if rec2.source != rec1.target:
                 continue

@@ -44,7 +44,8 @@ H: Vec = (1, 0)
 # discriminants excluded by forbidden_small_disc
 FORBIDDEN_DISCS = frozenset({1, 4, 8})
 
-AUT_TAGS = ("Trivial", "Z2", "Z2starZ2", "Z")
+# classify_aut's tags, each with its number of generators
+AUT_GENERATOR_COUNTS = {"Trivial": 0, "Z2": 1, "Z2starZ2": 2, "Z": 1}
 
 # r mod 8 -> smallest b >= 0 with b^2 ≡ r (mod 8); other residues have none
 _CANONICAL_B = {0: 0, 1: 1, 4: 2}
@@ -121,19 +122,19 @@ def curve_model(r: int) -> tuple[QuarticLattice, tuple[int, int]]:
 class AutKind(NamedTuple("AutKind", [("tag", str), ("generators", tuple[Mat, ...]),
                                      ("obstruction", Vec | None),
                                      ("axes", tuple[Vec, ...])])):
-    """Result of classify_aut: a tag and matching generator matrices, with
-    the witnesses that decide the tag: obstruction, a nonzero class of
-    square 0 or -2 (None when there is none), and axes, the ample square-2
-    classes sorted by their Pell key (the reflection axes for Z2 and
-    Z2starZ2)."""
+    """Result of classify_aut: a tag of AUT_GENERATOR_COUNTS with that many
+    generator matrices (checked on construction), and the witnesses that
+    decide the tag: obstruction, a nonzero class of square 0 or -2 (None
+    when there is none), and axes, the ample square-2 classes sorted by
+    their Pell key (the reflection axes for Z2 and Z2starZ2)."""
 
     __slots__ = ()
 
     def __new__(cls, tag: str, generators: tuple[Mat, ...] = (),
                 obstruction: Vec | None = None, axes: tuple[Vec, ...] = ()) -> "AutKind":
-        if tag not in AUT_TAGS:
+        want = AUT_GENERATOR_COUNTS.get(tag)
+        if want is None:
             raise ValueError("unknown tag %r" % (tag,))
-        want = {"Trivial": 0, "Z2": 1, "Z2starZ2": 2, "Z": 1}[tag]
         if len(generators) != want:
             raise ValueError(
                 "tag %s needs %d generators, got %d" % (tag, want, len(generators))

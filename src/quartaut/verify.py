@@ -170,10 +170,10 @@ def _frame_error(L: surf.QuarticLattice, word: links.LinkWord) -> str:
     G = L.base
     for n, step in enumerate(word.steps, 1):
         rec, B = step.record, step.change
-        got, want = change_basis(G, B).lattice, links.frame(rec.source, rec.gd)
+        got, want = change_basis(G, B), links.frame(rec.source, rec.gd)
         if got != want:
             return f"step {n} ({rec.source} {rec.gd}) starts on frame {got!r}, expected {want!r}"
-        G = change_basis(G, links.conjugate(links.link_matrix(rec), B)).lattice
+        G = change_basis(G, links.conjugate(links.link_matrix(rec), B))
     return ""
 
 
@@ -182,7 +182,7 @@ def suite_realization() -> list[Check]:
     for rec in links.catalog():
         m = links.link_matrix(rec)
         out.append(_check(f"det {rec.gd}", mat_det(m), -1))
-        got = change_basis(links.frame(rec.source, rec.gd), m).lattice
+        got = change_basis(links.frame(rec.source, rec.gd), m)
         out.append(_check(f"form {rec.gd}", got, links.frame(rec.target, rec.gd_plus)))
     for name, steps, want in COMPOSE_TABLE:
         try:

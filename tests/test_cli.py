@@ -2,12 +2,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quartaut import isometry, links, pell, surface
+from quartaut import cli, isometry, links, pell, surface
 from quartaut.cli import main
 
 
@@ -221,14 +225,32 @@ def test_realize_trivial_group_is_an_error(capsys):
     assert "trivial" in rep["results"]["error"]
 
 
-def test_realize_without_a_catalog_curve_exits_3(capsys):
-    # r = 73 carries no catalog curve, so no step has a frame to start from
-    code, rep = run_json(capsys, "realize", "--r", "73")
-    assert code == 3
-    assert rep["results"]["tag"] == "Z2"
+def test_realize_outside_the_classification_gets_caveat(capsys):
+    # r = 52 is no curve discriminant, so no step has a frame to start from;
+    # the report still lists the generator, with classify's caveat and exit code
+    code, rep = run_json(capsys, "realize", "--r", "52")
+    assert code == 2
+    assert rep["results"]["tag"] == "Z"
     (item,) = rep["results"]["realizations"]
+    assert item["generator"] == [[469, 1080], [360, 829]]
     assert item["word"] is None
     assert item["error"] == "no word of length <= 2 found"
+    _, classified = run_json(capsys, "classify", "--r", "52")
+    assert rep["results"]["caveat"] == classified["results"]["caveat"]
+    assert "r <= 57" in rep["results"]["caveat"]
+    # a trivial group outside the classification gets the caveat as well
+    code, rep = run_json(capsys, "realize", "--r", "64")
+    assert code == 2
+    assert "trivial" in rep["results"]["error"] and "caveat" in rep["results"]
+
+
+def test_realize_without_a_word_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(links, "realize_generator", lambda L, target: None)
+    code, rep = run_json(capsys, "realize", "--r", "48")
+    assert code == 3
+    assert "caveat" not in rep["results"]
+    (item,) = rep["results"]["realizations"]
+    assert item["word"] is None
 
 
 def test_exclusion_report(capsys):
@@ -308,6 +330,22 @@ def test_layer_runtime_error_becomes_a_report_with_exit_3(capsys, monkeypatch):
     assert rep["results"] == {"error": "forced stop",
                               "layer": "test_cli.stop"}
     assert rep["assumptions"] == [] and rep["paper_refs"] == []
+
+
+def test_closed_stdout_is_no_traceback():
+    """A reader that closes the pipe early gets no traceback, and the exit
+    code stays the command's own, not the one for a failed verification."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quartaut.cli", "verify-paper", "--json", "--no-timestamp"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_classify_computes_each_witness_once(capsys, monkeypatch):

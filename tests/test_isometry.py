@@ -61,10 +61,12 @@ def test_involution_form_examples():
 
 
 def test_involution_form_rejections():
-    with pytest.raises(ValueError):
-        isometry.involution_form(QuarticLattice(4, 0), 1, 0)  # c = 0
-    with pytest.raises(ValueError):
-        isometry.involution_form(L17, 2, 3)  # not on the conic
+    # both families share the conic check
+    for form in (isometry.involution_form, isometry.infinite_order_form):
+        with pytest.raises(ValueError):
+            form(QuarticLattice(4, 0), 1, 0)  # c = 0
+        with pytest.raises(ValueError):
+            form(L17, 2, 3)  # not on the conic
 
 
 def test_minimal_quadeq_solutions():
@@ -215,6 +217,27 @@ def test_gluing_power_beyond_paper_range():
 
 def _scan_must_not_run(L):
     raise AssertionError("conic scan on a lattice with a (-2)-class")
+
+
+# canonical models 57 < r <= 1000 whose conic solution lies past the cap
+CONIC_CAP_RS = (265, 292, 356, 388, 424, 452, 481, 548, 609, 705, 724, 745, 761, 772,
+                804, 808, 865, 868, 932, 945, 964, 976, 985, 996, 1000)
+
+
+def test_conic_cap_refuses_exactly_these_lattices():
+    """Every canonical model with 57 < r <= 1000 either classifies or is
+    refused by name at the conic scan's cap; a change that lifts the cap
+    must say which of these r it fixes."""
+    refused = []
+    for r in range(58, 1001):
+        if r % 8 not in (0, 1, 4):
+            continue
+        try:
+            classify_aut(QuarticLattice.from_disc(r))
+        except RuntimeError as e:
+            assert "|beta| <= 1000000" in str(e), (r, e)
+            refused.append(r)
+    assert tuple(refused) == CONIC_CAP_RS
 
 
 def test_walls_refuse_every_gluing_power(monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 
 import quartaut
 from quartaut.exclusion import CurveList, ExclusionReport
-from quartaut.lattice import GramLattice
+from quartaut.lattice import IDENTITY, GramLattice
 from quartaut.links import LinkRecord, LinkStep, LinkWord
 from quartaut.surface import AutKind, QuarticLattice
 from quartaut.verify import Check
@@ -95,6 +95,7 @@ def test_records_keep_their_repr_and_stay_immutable(record, text):
     (lambda: GramLattice(2, 2, 2), "degenerate Gram matrix"),
     (lambda: AutKind("Z"), "tag Z needs 1 generators, got 0"),
     (lambda: AutKind("Z3"), "unknown tag 'Z3'"),
+    (lambda: AutKind("Z2starZ2", (IDENTITY,)), "tag Z2starZ2 needs 2 generators, got 1"),
     (lambda: LinkRecord((1, 1), "P4", (1, 1), 1, 1, 1), "link endpoints"),
     (lambda: LinkRecord((1, 1), "P3", (1, 1), 2, 3, 3), "b must divide a\\*c - 1"),
     (lambda: CurveList(((0, 1),), frozenset()), "expected the 34"),
