@@ -86,13 +86,12 @@ class AntiflipSolution(NamedTuple):
 
     def frame_class(self) -> tuple[int, int] | None:
         """The class rewritten as x*H + y*C when that has integer
-        coordinates (W = (C - delta*H) / gamma)."""
+        coordinates (W = (C - delta*H) / gamma): that is when gamma | beta,
+        and then the class is (alpha - delta*beta/gamma)*H + (beta/gamma)*C."""
         if self.beta % self.gamma:
             return None
-        num = self.alpha * self.gamma - self.beta * self.delta
-        if num % self.gamma:
-            return None
-        return (num // self.gamma, self.beta // self.gamma)
+        y = self.beta // self.gamma
+        return (self.alpha - self.delta * y, y)
 
 
 class AntiflipReport(NamedTuple):
@@ -129,11 +128,10 @@ def admissible_discriminants() -> ExclusionReport:
 
 
 def _integer_roots(a2: int, a1: int, a0: int) -> list[int]:
-    """Integer roots of a2*x^2 + a1*x + a0 = 0 (a0 nonzero here, so no
-    spurious x = 0 roots; degenerate leading coefficients handled exactly)."""
+    """Integer roots of a2*x^2 + a1*x + a0 = 0 with a1 != 0 (a0 nonzero
+    here, so no spurious x = 0 roots; a2 = 0 is handled exactly). The one
+    caller passes a1 = 2*gamma*r, with gamma != 0 and r >= 1."""
     if a2 == 0:
-        if a1 == 0:
-            return []
         return [-a0 // a1] if a0 % a1 == 0 else []
     disc = a1 * a1 - 4 * a2 * a0
     if disc < 0:

@@ -92,12 +92,18 @@ def minimal_quadeq_solution(L: surf.QuarticLattice) -> Vec:
 
     The form is integral exactly when c | 2*beta and c | b*beta, that is when
     sigma = |c|/gcd(c, 2, b) divides beta, so the scan steps |beta| by sigma.
-    The class-vector automorph of the fundamental Pell solution (t, u) lies in
-    the same family with beta = 2|c|u, so the scan is complete once |beta|
-    reaches that bound; a hard cap on |beta| (not on the number of candidates
-    tried) guards against misuse. h^-1 shares |beta| and beta > 0 is tried
-    first, so h's orientation depends on the model (a model change may
-    invert the conjugated h); the published curve models have beta > 0.
+    Then alpha is a root of the monic integer polynomial
+    a^2 - (b*beta/c)*a + (2*beta^2/c - 1), whose discriminant is s^2/c^2 with
+    s^2 = r*beta^2 + 4c^2; when s is an integer both roots (b*beta ± s)/(2c)
+    are rational, hence integers. h's trace 2*alpha - b*beta/c is ±s/c, so
+    the root of positive trace is (b*beta + sgn(c)*s)/(2c), and only it is
+    tried. The class-vector automorph of the fundamental Pell solution
+    (t, u) lies in the same family with beta = 2|c|u, so the scan is
+    complete once |beta| reaches that bound; a hard cap on |beta| (not on
+    the number of candidates tried) guards against misuse. h^-1 shares
+    |beta| and beta > 0 is tried first, so h's orientation depends on the
+    model (a model change may invert the conjugated h); the published curve
+    models have beta > 0.
     """
     from math import gcd, isqrt
 
@@ -109,20 +115,12 @@ def minimal_quadeq_solution(L: surf.QuarticLattice) -> Vec:
     sigma = abs(c) // gcd(c, 2, b)
     for size in range(sigma, bound + 1, sigma):
         for beta in (size, -size):
-            # a = (b*beta ± s) / (2c) with s^2 = r*beta^2 + 4c^2
             s2 = r * beta * beta + 4 * c * c
             s = isqrt(s2)
             if s * s != s2:
                 continue
-            for root in (b * beta + s, b * beta - s):
-                if root % (2 * c):
-                    continue
-                alpha = root // (2 * c)
-                if alpha <= 0:
-                    continue
-                # positive trace picks the expanding direction
-                if c * (2 * alpha * c - b * beta) <= 0:
-                    continue
+            alpha = (b * beta + (s if c > 0 else -s)) // (2 * c)
+            if alpha > 0:
                 return (alpha, beta)
     raise RuntimeError(
         "no positive conic solution with |beta| <= %d; lattice outside the "

@@ -63,18 +63,14 @@ def canonical_bc(r: int) -> tuple[int, int]:
     return b, (b * b - r) // 8
 
 
-# Models (b, c) = (d, g - 1) in which W itself is an irreducible curve of
-# genus g and degree d from the link catalog, one per discriminant that
-# carries one. The printed generator matrices live in these coordinates.
+# Models in which W itself is an irreducible curve of genus g and degree d
+# from the link catalog, one per discriminant that carries one: H.W = d and
+# W^2 = 2g - 2, so (b, c) = (d, g - 1) and r = d^2 - 8(g - 1). Of the two
+# catalog curves on r = 20, (11, 10) and (3, 6), the model uses (11, 10).
+# The printed generator matrices live in these coordinates.
 CURVE_MODELS: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {
-    17: ((11, 13), (14, 11)),
-    20: ((10, 10), (11, 10)),
-    28: ((10, 9), (10, 10)),
-    32: ((8, 4), (5, 8)),
-    40: ((8, 3), (4, 8)),
-    41: ((9, 5), (6, 9)),
-    48: ((8, 2), (3, 8)),
-    56: ((8, 1), (2, 8)),
+    d * d - 8 * (g - 1): ((d, g - 1), (g, d))
+    for g, d in ((14, 11), (11, 10), (10, 10), (5, 8), (4, 8), (6, 9), (3, 8), (2, 8))
 }
 
 
@@ -227,34 +223,32 @@ def find_curve_class(L: QuarticLattice, target: tuple[int, int]) -> Vec | None:
     """A class D with genus_degree(L, D) == target, or None.
 
     Exact: _index fixes |y|, and H.D = d fixes D = ((d - b*y)/4, y). The
-    first of y = -|y|, +|y| meeting the mod-4 congruence is returned.
+    first of y = -|y|, +|y| meeting the mod-4 congruence is returned, and
+    one of them always does: d^2 - r*y^2 = 4*D^2 with D^2 even and
+    r = b^2 - 8c gives d^2 ≡ (b*y)^2 (mod 8), so d - b*y and d + b*y are
+    even and one of them is divisible by 4, i.e. d ≡ ±b*y (mod 4).
     """
     g, d = target
     y = _index(L.r, d, 2 * (g - 1))
     if y is None:
         return None
-    for sy in ((-y, y) if y else (0,)):
-        D = _congruent_class(L.b, d, sy)
-        if D is not None:
-            return D
-    return None
+    return _congruent_class(L.b, d, -y) or _congruent_class(L.b, d, y)
 
 
 def forbidden_small_disc(b: int, c: int) -> tuple[Vec, tuple[int, int]]:
     """For r = b^2 - 8c in {1, 4, 8}: a witness class E together with its
     profile (E^2, H.E), one of (0,1), (0,2), (-2,0). Any of those profiles
-    contradicts very ampleness of a degree-4 polarization."""
+    contradicts very ampleness of a degree-4 polarization. Once _index
+    fixes |y|, y = +|y| or -|y| meets the mod-4 congruence (the argument of
+    find_curve_class), and +|y| is tried first."""
     r = b * b - 8 * c
     if r not in FORBIDDEN_DISCS:
         raise ValueError("only discriminants 1, 4, 8 are excluded this way")
     for sq, deg in ((0, 1), (0, 2), (-2, 0)):
         y = _index(r, deg, sq)
-        if y is None:
-            continue
-        for sy in ((y, -y) if y else (0,)):
-            E = _congruent_class(b, deg, sy)
-            if E is not None:
-                return _normalize_effective(b, E), (sq, deg)
+        if y is not None:
+            E = _congruent_class(b, deg, y) or _congruent_class(b, deg, -y)
+            return _normalize_effective(b, E), (sq, deg)
     raise RuntimeError("no witness found; unreachable for r in {1, 4, 8}")
 
 

@@ -300,6 +300,39 @@ def test_verify_paper_catches_tampered_catalog(capsys, monkeypatch):
     assert "first counterexample" in out
 
 
+@pytest.mark.parametrize("module, name, suite, check, detail", [
+    (surface, "find_curve_class", "curve-classes", "r=17", "no class with (g, d) = (14, 11)"),
+    (links, "lookup", "realization", "compose r=28", "catalog row (10, 10) missing"),
+    (links, "realize_generator", "realization", "realize r=17 #1", "no word found"),
+])
+def test_verify_paper_names_the_first_counterexample(capsys, monkeypatch, module, name, suite,
+                                                     check, detail):
+    monkeypatch.setattr(module, name, lambda *args: None)
+    code, rep = run_json(capsys, "verify-paper", "--no-timestamp")
+    assert code == 1
+    assert rep["results"]["passed"] is False
+    failed = [(s["name"], c["name"], c.get("detail"))
+              for s in rep["results"]["suites"] for c in s["checks"] if not c["ok"]]
+    assert failed[0] == (suite, check, detail)
+
+
+def test_verify_paper_text_prints_the_first_counterexample(capsys, monkeypatch):
+    monkeypatch.setattr(surface, "find_curve_class", lambda L, target: None)
+    code, out = run(capsys, "verify-paper", "--no-timestamp")
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        "first counterexample: [FAIL] curve-classes: r=17 (no class with (g, d) = (14, 11))")
+
+
+def test_pqa_cap_becomes_a_report_with_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(pell, "_PQA_CAP", 3)
+    pell._unit_data.cache_clear()
+    code, rep = run_json(capsys, "pell", "--r", "94", "--n", "7", "--no-timestamp")
+    assert code == 3
+    assert rep["results"] == {"error": "PQa expansion did not cycle within the iteration cap",
+                              "layer": "pell._pqa"}
+
+
 def test_search_bound_becomes_a_report_with_exit_3(capsys):
     code, rep = run_json(capsys, "classify", "--r", "265", "--no-timestamp")
     assert code == 3

@@ -89,6 +89,11 @@ def test_antiflip_witnesses_are_lines_meeting_the_curve():
         assert pairing(frame, (1, 0), ell) == 1
 
 
+def test_frame_class_needs_gamma_to_divide_beta():
+    # gamma = 2 does not divide beta = 1, so W = (C - H)/2 leaves the class fractional
+    assert exclusion.AntiflipSolution(15, 11, 1, -2, 2, 1, 3, 1).frame_class() is None
+
+
 def test_antiflip_cells_cover_the_degree_range():
     cells = exclusion._cells()
     assert all(0 < d < 16 and 0 <= pa and 8 * pa <= d * d for pa, d in cells)

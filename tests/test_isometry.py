@@ -69,6 +69,14 @@ def test_involution_form_rejections():
             form(L17, 2, 3)  # not on the conic
 
 
+def test_infinite_order_form_needs_c_to_divide_b_beta():
+    L = QuarticLattice(1, -2)
+    # (-4, 3) lies on the conic -2a^2 - a*t + 2t^2 = -2 and c | 2*beta, but c does not
+    # divide b*beta
+    assert L.c * 16 - L.b * -4 * 3 + 2 * 9 == L.c
+    assert isometry.infinite_order_form(L, -4, 3) is None
+
+
 def test_minimal_quadeq_solutions():
     assert isometry.minimal_quadeq_solution(curve_model(20)[0]) == (4, 5)
     assert isometry.minimal_quadeq_solution(curve_model(32)[0]) == (7, 4)

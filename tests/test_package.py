@@ -1,17 +1,19 @@
 """Package surface: lazy exports, per-command imports, record types, demos."""
 import ast
 import contextlib
+import hashlib
 import io
 import os
 import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import quartaut
-from quartaut.exclusion import CurveList, ExclusionReport
+from quartaut.exclusion import CURVE_PAIRS, CurveList, ExclusionReport
 from quartaut.lattice import IDENTITY, GramLattice
 from quartaut.links import LinkRecord, LinkStep, LinkWord
 from quartaut.surface import AutKind, QuarticLattice
@@ -19,6 +21,15 @@ from quartaut.verify import Check
 
 SRC = Path(quartaut.__file__).resolve().parent.parent
 DEMOS = sorted((SRC.parent / "demos").glob("*.py"))
+
+# sha256 of each demo's stdout; a demo whose output changes on purpose has
+# its digest replaced here and named in CHANGES.md
+DEMO_DIGESTS = {
+    "exclusion_sweep.py": "3e82aecfd673f57101e2577b1b372c96cb7cad8147b1fd238e0937459c739e9a",
+    "generator_walkthrough.py": "af94c1781f83a260bcf73f5e1920b39b6146b0d05381561f60663098d7c76439",
+    "partition_tour.py": "c5ffaa787eff4f92f0467da47d6967053d349198beb6a43b7cd6053e1ca36ad5",
+    "pell_dictionary.py": "50dfa31893b503c460fc19bac5c56891ca16e43e7b92ac6152b6d52258b0661d",
+}
 
 _LOADED = """
 import sys
@@ -99,6 +110,9 @@ def test_records_keep_their_repr_and_stay_immutable(record, text):
     (lambda: LinkRecord((1, 1), "P4", (1, 1), 1, 1, 1), "link endpoints"),
     (lambda: LinkRecord((1, 1), "P3", (1, 1), 2, 3, 3), "b must divide a\\*c - 1"),
     (lambda: CurveList(((0, 1),), frozenset()), "expected the 34"),
+    (lambda: CurveList(((3, 5), *CURVE_PAIRS[1:]), frozenset()),
+     "pair \\(3, 5\\) is outside the classification"),
+    (lambda: CurveList(CURVE_PAIRS, frozenset({(15, 11)})), "model pairs must be classified"),
 ])
 def test_records_validate_on_construction(build, message):
     with pytest.raises(ValueError, match=message):
@@ -108,6 +122,8 @@ def test_records_validate_on_construction(build, message):
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(path):
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    with contextlib.redirect_stdout(buf), warnings.catch_warnings():
+        warnings.simplefilter("error")
         runpy.run_path(str(path), run_name="__main__")
     assert buf.getvalue().strip()
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DEMO_DIGESTS[path.name]

@@ -48,6 +48,15 @@ def test_rejects_nonpositive_r():
             fn(-17, 8)
     with pytest.raises(ValueError):
         pell.solutions_up_to(0, 8, 5)
+    for r in (0, -17):
+        with pytest.raises(ValueError, match="r must be a positive integer"):
+            pell.solution_class_reps(r, 8)
+
+
+def test_solutions_up_to_rejects_a_bound_below_one():
+    for bound in (0, -3):
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            pell.solutions_up_to(17, 8, bound)
 
 
 def test_fundamental_solution_small():

@@ -1,4 +1,5 @@
 """Class existence, the genus/degree dictionary, and the Aut classifier."""
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -65,6 +66,16 @@ def test_genus_degree_examples():
 def test_genus_degree_rejects_nonpositive_degree():
     with pytest.raises(ValueError):
         genus_degree(QuarticLattice(11, 13), (-1, 0))
+
+
+def test_genus_degree_rejects_odd_and_too_negative_squares():
+    L = QuarticLattice(11, 13)
+    # a half-integer class has odd square: (H/2)^2 = 1
+    with pytest.raises(ValueError, match="odd self-intersection"):
+        genus_degree(L, (Fraction(1, 2), 0))
+    # -5H + 2W has degree 2 and square -16
+    with pytest.raises(ValueError, match="self-intersection >= -2"):
+        genus_degree(L, (-5, 2))
 
 
 def test_realizable_gd():
