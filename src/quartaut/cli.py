@@ -2,11 +2,12 @@
 
 Each command computes its results and exit code; main builds every report
 in one place (command, inputs, results, assumptions, paper_refs) and
-renders it as text or, with --json, as JSON. The inputs echo every option
-given, and each command's assumptions and paper_refs are attached where its
-subparser is registered. Reports are deterministic; the timestamp and the
-results' duration_s are omitted with --no-timestamp so identical inputs
-give byte-identical output.
+renders it as text or, with --json, as JSON. One table, _COMMANDS, gives
+each command's help, handler, options, assumptions and paper_refs; the
+parser and the reports are both built from it. The inputs echo every
+option given. Reports are deterministic; the timestamp and the results'
+duration_s are omitted with --no-timestamp so identical inputs give
+byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid or out-of-scope
 input, 3 search exhausted. A ValueError or RuntimeError from a math layer
@@ -62,16 +63,19 @@ def _emit(rep: dict) -> None:
         print(f"timestamp: {rep['timestamp']}")
 
 
-def _model_error(args) -> str | None:
-    """Why --r, --b and --c name no single discriminant, or None: --b and
+def _disc(args) -> tuple[int | None, str | None]:
+    """(r, None) with r the discriminant that --r or --b/--c name (None when
+    neither is given), or (None, why) when they name no single one: --b and
     --c come together, and a --r given with them must equal b^2 - 8c."""
     b, c, r = args.b, args.c, args.r
     if (b is None) != (c is None):
-        return "--b and --c must be given together"
-    if b is not None and r is not None and r != b * b - 8 * c:
-        return (f"--r {r} disagrees with --b {b} --c {c}, whose discriminant "
-                f"is {b * b - 8 * c}")
-    return None
+        return None, "--b and --c must be given together"
+    if b is None:
+        return r, None
+    disc = b * b - 8 * c
+    if r not in (None, disc):
+        return None, f"--r {r} disagrees with --b {b} --c {c}, whose discriminant is {disc}"
+    return disc, None
 
 
 def _resolve_model(args):
@@ -80,20 +84,19 @@ def _resolve_model(args):
     small-discriminant witness when one exists) in error_results."""
     from . import surface as surf
 
-    err = _model_error(args)
+    r, err = _disc(args)
     if err:
         return None, {"error": err}
+    if r is None:
+        return None, {"error": "give --r or both --b and --c"}
     b, c = args.b, args.c
     if b is None:
-        if args.r is None:
-            return None, {"error": "give --r or both --b and --c"}
-        if args.r in surf.CURVE_MODELS:
-            return surf.curve_model(args.r)[0], None
+        if r in surf.CURVE_MODELS:
+            return surf.curve_model(r)[0], None
         try:
-            b, c = surf.canonical_bc(args.r)
+            b, c = surf.canonical_bc(r)
         except ValueError as e:
             return None, {"error": str(e)}
-    r = b * b - 8 * c
     if r <= 0:
         return None, {"error": f"discriminant {r} is not positive"}
     if r in surf.FORBIDDEN_DISCS:
@@ -150,10 +153,9 @@ def _with_caveat(results: dict, code: int) -> tuple[dict, int]:
 def cmd_pell(args) -> tuple[dict, int]:
     from . import pell
 
-    err = _model_error(args)
+    r, err = _disc(args)
     if err:
         return {"error": err}, EXIT_BAD_INPUT
-    r = args.r if args.b is None else args.b * args.b - 8 * args.c
     if r is None or r <= 0:
         return {"error": "a positive discriminant is required"}, EXIT_BAD_INPUT
     if args.bound is not None and args.bound < 1:
@@ -300,6 +302,33 @@ def _emit_verify_text(rep: dict) -> None:
         print(f"first counterexample: {first_fail}")
 
 
+# name: (help, handler, takes --r/--b/--c, its own --flag/required/help
+# triples, assumptions, paper_refs); every option is an int
+_COMMANDS = {
+    "classify": ("automorphism group of a model", cmd_classify, True, (),
+                 [_AUT_ASSUMPTION], ["builtin:partition-table", "builtin:generator-table"]),
+    "pell": ("solve x^2 - r y^2 = n", cmd_pell, True,
+             (("--n", True, "right-hand side"), ("--bound", False, "also enumerate |y| <= bound")),
+             [], ["builtin:pell-witness-table"]),
+    "curve-class": ("class of a (genus, degree) curve", cmd_curve_class, True,
+                    (("--genus", True, None), ("--degree", True, None)),
+                    [], ["builtin:curve-models"]),
+    "link": ("show the link catalog", cmd_link, False,
+             (("--genus", False, None), ("--degree", False, None)), [], ["builtin:link-catalog"]),
+    "realize": ("link words realizing the generators", cmd_realize, True, (),
+                [_AUT_ASSUMPTION], ["builtin:link-catalog", "builtin:generator-table"]),
+    "exclusion": ("discriminant divisibility exclusion", cmd_exclusion, False, (),
+                  [], ["builtin:curve-pair-list"]),
+    "antiflip-check": ("exhaust the anti-flip system", cmd_antiflip, False, (),
+                       [], ["builtin:antiflip-system"]),
+    "verify-paper": ("run all golden suites", cmd_verify_paper, False, (),
+                     [_AUT_ASSUMPTION], ["builtin:golden-suites"]),
+}
+
+_MODEL_OPTIONS = (("--r", False, "lattice discriminant"), ("--b", False, "pairing H.W"),
+                  ("--c", False, "half of W^2"))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quartaut",
@@ -307,59 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "Pell witnesses, link words, and exhaustive checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name, (text, _, model, options, _, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        for flag, required, flag_help in (_MODEL_OPTIONS if model else ()) + options:
+            sp.add_argument(flag, type=int, required=required, help=flag_help)
         sp.add_argument("--json", action="store_true", help="emit the report as JSON")
         sp.add_argument("--no-timestamp", dest="stamp", action="store_false",
                         help="omit timestamp and timing fields")
-
-    def model(sp):
-        sp.add_argument("--r", type=int, help="lattice discriminant")
-        sp.add_argument("--b", type=int, help="pairing H.W")
-        sp.add_argument("--c", type=int, help="half of W^2")
-
-    sp = sub.add_parser("classify", help="automorphism group of a model")
-    model(sp); common(sp)
-    sp.set_defaults(fn=cmd_classify, meta=(
-        [_AUT_ASSUMPTION], ["builtin:partition-table", "builtin:generator-table"]))
-
-    sp = sub.add_parser("pell", help="solve x^2 - r y^2 = n")
-    model(sp)
-    sp.add_argument("--n", type=int, required=True, help="right-hand side")
-    sp.add_argument("--bound", type=int, help="also enumerate |y| <= bound")
-    common(sp)
-    sp.set_defaults(fn=cmd_pell, meta=([], ["builtin:pell-witness-table"]))
-
-    sp = sub.add_parser("curve-class", help="class of a (genus, degree) curve")
-    model(sp)
-    sp.add_argument("--genus", type=int, required=True)
-    sp.add_argument("--degree", type=int, required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_curve_class, meta=([], ["builtin:curve-models"]))
-
-    sp = sub.add_parser("link", help="show the link catalog")
-    sp.add_argument("--genus", type=int)
-    sp.add_argument("--degree", type=int)
-    common(sp)
-    sp.set_defaults(fn=cmd_link, meta=([], ["builtin:link-catalog"]))
-
-    sp = sub.add_parser("realize", help="link words realizing the generators")
-    model(sp); common(sp)
-    sp.set_defaults(fn=cmd_realize, meta=(
-        [_AUT_ASSUMPTION], ["builtin:link-catalog", "builtin:generator-table"]))
-
-    sp = sub.add_parser("exclusion", help="discriminant divisibility exclusion")
-    common(sp)
-    sp.set_defaults(fn=cmd_exclusion, meta=([], ["builtin:curve-pair-list"]))
-
-    sp = sub.add_parser("antiflip-check", help="exhaust the anti-flip system")
-    common(sp)
-    sp.set_defaults(fn=cmd_antiflip, meta=([], ["builtin:antiflip-system"]))
-
-    sp = sub.add_parser("verify-paper", help="run all golden suites")
-    common(sp)
-    sp.set_defaults(fn=cmd_verify_paper, meta=([_AUT_ASSUMPTION], ["builtin:golden-suites"]))
-
     return parser
 
 
@@ -377,10 +360,10 @@ def _failure(err: Exception) -> tuple[dict, int]:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    assumptions, refs = args.meta
+    _, run, _, _, assumptions, refs = _COMMANDS[args.command]
     t0 = time.monotonic()
     try:
-        results, code = args.fn(args)
+        results, code = run(args)
     except (ValueError, RuntimeError) as err:
         (results, code), assumptions, refs = _failure(err), [], []
     else:
@@ -389,7 +372,7 @@ def main(argv=None) -> int:
     rep = {
         "command": args.command,
         "inputs": {k: v for k, v in vars(args).items()
-                   if k not in ("command", "fn", "meta", "json", "stamp") and v is not None},
+                   if k not in ("command", "json", "stamp") and v is not None},
         "results": results,
         "assumptions": assumptions,
         "paper_refs": refs,

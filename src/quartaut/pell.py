@@ -19,10 +19,14 @@ Two routes are deliberately kept apart:
   modulo every prime power of |m| (Cohen, *A Course in Computational
   Algebraic Number Theory*, §1.5), so moduli without roots cost no scan.
   For square r = t^2 the equation factors as (x - t*y)(x + t*y) = n and
-  divisor enumeration is exhaustive.
+  divisor enumeration is exhaustive. A modulus that passes costs about
+  |m|/2 residue tests, so the search is O(|n|): n near 10^6 takes a tenth
+  of a second, but r = 2, n = 10^9 + 7 runs for more than 30 s, and no cap
+  stops it.
 * ``solutions_up_to`` is a brute-force scan, exhaustive within a |y| bound.
   It exists so tests can compare the decision procedure against an
-  independent enumeration; it must stay naive.
+  independent enumeration; it must stay naive, and it tests 2*bound + 1
+  values of y.
 
 All arithmetic is exact; no floats anywhere.
 """

@@ -59,7 +59,7 @@ RPRIME_TABLE = (
     48, 12, 25, 40, 17, 32, 24, 41, 16, 33, 25, 17, 9, 28, 20, 17,
 )
 
-ADMISSIBLE = (9, 12, 16, 17, 20, 24, 25, 28, 32, 33, 36, 40, 41, 44, 48, 49, 56, 57)
+ADMISSIBLE = tuple(sorted(EXPECTED_PARTITION))
 
 
 class Check(NamedTuple):
@@ -87,10 +87,12 @@ def suite_pell_table() -> list[Check]:
     for r, (x, y), n in PELL_TABLE:
         out.append(_check(f"witness r={r}", x * x - r * y * y, n))
         out.append(_check(f"solvable r={r} n={n}", pell.has_solution(r, n), True))
-    for r in (20, 28, 32, 40, 48, 56):
-        out.append(_check(f"no -2 class r={r}", pell.has_solution(r, -8), False))
-    for r in (20, 32, 40, 48):
-        out.append(_check(f"no square-2 class r={r}", pell.has_solution(r, 8), False))
+    for r in ADMISSIBLE:
+        if EXPECTED_PARTITION[r] in ("Z2starZ2", "Z"):
+            out.append(_check(f"no -2 class r={r}", pell.has_solution(r, -8), False))
+    for r in ADMISSIBLE:
+        if EXPECTED_PARTITION[r] == "Z":
+            out.append(_check(f"no square-2 class r={r}", pell.has_solution(r, 8), False))
     return out
 
 

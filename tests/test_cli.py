@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -432,6 +433,37 @@ def test_argparse_errors_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["pell", "--r", "17"])  # missing required --n
     assert e.value.code == 2
+    with pytest.raises(SystemExit) as e:
+        main(["curve-class", "--r", "17", "--degree", "8"])  # missing required --genus
+    assert e.value.code == 2
+    with pytest.raises(SystemExit) as e:
+        main(["classify", "--r", "17", "--n", "8"])  # an option of pell only
+    assert e.value.code == 2
+
+
+_MODEL_FLAGS = ("--r", "--b", "--c")
+_REPORT_FLAGS = ("--json", "--no-timestamp", "--help")
+
+
+@pytest.mark.parametrize("cmd, flags", [
+    ("classify", _MODEL_FLAGS),
+    ("pell", (*_MODEL_FLAGS, "--n", "--bound")),
+    ("curve-class", (*_MODEL_FLAGS, "--genus", "--degree")),
+    ("link", ("--genus", "--degree")),
+    ("realize", _MODEL_FLAGS),
+    ("exclusion", ()),
+    ("antiflip-check", ()),
+    ("verify-paper", ()),
+])
+def test_help_lists_each_subcommands_options_in_order(capsys, cmd, flags):
+    """A report's inputs echo the options in the order the parser declares
+    them, so each subcommand's --help must list exactly its own, in order."""
+    with pytest.raises(SystemExit) as e:
+        main([cmd, "--help"])
+    assert e.value.code == 0
+    out = capsys.readouterr().out
+    listed = tuple(dict.fromkeys(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)))
+    assert listed == (*flags, *_REPORT_FLAGS)
 
 
 def _model_args(r, b, c):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from quartaut.lattice import IDENTITY, mat_mul, mat_pow, mat_vec
 from quartaut.surface import (
-    H, QuarticLattice, canonical_bc, class_with_square_exists, classify_aut, curve_model,
+    H, QuarticLattice, automorph, canonical_bc, class_with_square_exists, classify_aut,
+    curve_model,
 )
 from quartaut import isometry, pell
 
@@ -122,6 +123,34 @@ def test_minimal_quadeq_matches_unit_step_oracle():
             assert isometry.infinite_order_form(L, *sol) is not None, (b, c)
             found += 1
     assert found == 327
+
+
+def test_conic_scan_stops_at_the_automorph():
+    """The scan's bound |beta| <= 2|c|u, (t, u) the fundamental Pell
+    solution, is where the automorph sits in the infinite-order family:
+    alpha = t - b*u, beta = -2c*u. So on a wall-free lattice the scan ends
+    within that bound, or raises only when the bound lies past the cap."""
+    found = capped = 0
+    for b in range(-8, 9):
+        for r in range(9, 401):
+            if (b * b - r) % 8 or isqrt(r) ** 2 == r:
+                continue
+            c = (b * b - r) // 8
+            L = QuarticLattice(b, c)
+            t, u = pell.fundamental_solution(r)
+            assert automorph(L) == isometry.infinite_order_form(L, t - b * u, -2 * c * u), (b, c)
+            # on walled lattices the scan runs to the cap
+            if class_with_square_exists(L, -2) is not None:
+                continue
+            try:
+                _, beta = isometry.minimal_quadeq_solution(L)
+            except RuntimeError:
+                assert 2 * abs(c) * u > isometry._QUADEQ_HARD_CAP, (b, c)
+                capped += 1
+                continue
+            assert abs(beta) <= 2 * abs(c) * u, (b, c)
+            found += 1
+    assert (found, capped) == (408, 41)  # the 449 wall-free models
 
 
 def test_minimal_quadeq_rejects_square_disc():
