@@ -36,7 +36,7 @@ def main():
     print()
 
     x, y = fundamental_solution(L.r)
-    print(f"fundamental unit of x^2 - {L.r} y^2 = 4: (x, y) = ({x}, {y})")
+    print(f"fundamental unit of x^2 - {L.r} y^2 = 1: (x, y) = ({x}, {y})")
     print("orbit representatives for 4k = 8 under that unit:")
     for rep in solution_class_reps(L.r, 8):
         print(f"  {rep}")

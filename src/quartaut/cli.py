@@ -89,6 +89,8 @@ def _resolve_model(args):
         return None, {"error": err}
     if r is None:
         return None, {"error": "give --r or both --b and --c"}
+    if r <= 0:
+        return None, {"error": f"discriminant {r} is not positive"}
     b, c = args.b, args.c
     if b is None:
         if r in surf.CURVE_MODELS:
@@ -97,8 +99,6 @@ def _resolve_model(args):
             b, c = surf.canonical_bc(r)
         except ValueError as e:
             return None, {"error": str(e)}
-    if r <= 0:
-        return None, {"error": f"discriminant {r} is not positive"}
     if r in surf.FORBIDDEN_DISCS:
         E, (sq, deg) = surf.forbidden_small_disc(b, c)
         return None, {

@@ -34,7 +34,10 @@ CURVE_PAIRS = (
 DISC_BOUND = 57
 
 _DEGREE_CAP = 16
-_FORBIDDEN_DISCS = frozenset({1, 4, 8})
+
+# each excluded discriminant r -> the profile (E^2, H.E) of a class E that no
+# very ample degree-4 polarization carries (surface.forbidden_small_disc)
+FORBIDDEN_DISCS = {1: (0, 1), 4: (0, 2), 8: (-2, 0)}
 
 
 class CurveList(NamedTuple("CurveList", [
@@ -173,7 +176,7 @@ def _cell_solutions(pa: int, d: int) -> tuple[int, list[AntiflipSolution]]:
         if gamma == 0 or rp % (gamma * gamma):
             continue
         r = rp // (gamma * gamma)
-        if r in _FORBIDDEN_DISCS:
+        if r in FORBIDDEN_DISCS:
             continue
         bs = [b for b in range(1, 16) if not (b * b - r) % 8 and not (d - b * gamma) % 4]
         configurations += len(bs)

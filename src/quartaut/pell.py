@@ -18,11 +18,11 @@ Two routes are deliberately kept apart:
   exponents, and a modulus m is scanned only when z^2 ≡ r has a root
   modulo every prime power of |m| (Cohen, *A Course in Computational
   Algebraic Number Theory*, §1.5), so moduli without roots cost no scan.
-  For square r = t^2 the equation factors as (x - t*y)(x + t*y) = n and
-  divisor enumeration is exhaustive. A modulus that passes costs about
-  |m|/2 residue tests, so the search is O(|n|): n near 10^6 takes a tenth
-  of a second, but r = 2, n = 10^9 + 7 runs for more than 30 s, and no cap
-  stops it.
+  For square r = t^2 the equation factors as (x - t*y)(x + t*y) = n, and
+  the divisors of n, read off the same factorization, are exhaustive. A
+  modulus that passes costs about |m|/2 residue tests, so the search is
+  O(|n|): n near 10^6 takes a tenth of a second, but r = 2, n = 10^9 + 7
+  runs for more than 30 s, and no cap stops it.
 * ``solutions_up_to`` is a brute-force scan, exhaustive within a |y| bound.
   It exists so tests can compare the decision procedure against an
   independent enumeration; it must stay naive, and it tests 2*bound + 1
@@ -186,22 +186,18 @@ def _lmm_reps(D: int, N: int) -> list[Vec]:
 
 def _square_solutions(t: int, N: int) -> list[Vec]:
     """All solutions of x^2 - t^2*y^2 = N for N != 0, via (x-ty)(x+ty) = N:
-    d1 = x - ty runs over every divisor of N, ±e and ±N/e for e <= sqrt|N|."""
+    d1 = x - ty runs over ±e for every divisor e of |N|, the products of the
+    prime powers in _factor(N)."""
+    divisors = [1]
+    for p, k in _factor(N).items():
+        divisors = [e * p ** j for e in divisors for j in range(k + 1)]
     out = set()
-    e = 1
-    while e * e <= abs(N):
-        if N % e == 0:
-            for d1 in (e, -e, N // e, -N // e):
-                d2 = N // d1
-                # x = (d1+d2)/2, t*y = (d2-d1)/2
-                if (d1 + d2) % 2:
-                    continue
-                x = (d1 + d2) // 2
-                ty = (d2 - d1) // 2
-                if ty % t:
-                    continue
-                out.add((x, ty // t))
-        e += 1
+    for e in divisors:
+        for d1 in (e, -e):
+            d2 = N // d1
+            # x = (d1+d2)/2, t*y = (d2-d1)/2
+            if (d1 + d2) % 2 == 0 and (d2 - d1) // 2 % t == 0:
+                out.add(((d1 + d2) // 2, (d2 - d1) // 2 // t))
     return sorted(out)
 
 

@@ -26,10 +26,11 @@ ample degree-4 polarization tolerates (forbidden_small_disc exhibits it).
 """
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 from typing import NamedTuple
 
 from . import pell
+from .exclusion import FORBIDDEN_DISCS
 from .lattice import (
     GramLattice,
     Mat,
@@ -40,9 +41,6 @@ from .lattice import (
 )
 
 H: Vec = (1, 0)
-
-# discriminants excluded by forbidden_small_disc
-FORBIDDEN_DISCS = frozenset({1, 4, 8})
 
 # classify_aut's tags, each with its number of generators
 AUT_GENERATOR_COUNTS = {"Trivial": 0, "Z2": 1, "Z2starZ2": 2, "Z": 1}
@@ -192,9 +190,10 @@ def class_with_square_exists(L: QuarticLattice, k: int) -> Vec | None:
 
     For k != 0 the first of _classes_of_square, with no sign normalization
     (both signs of a class answer the existence question). A square-0 class
-    needs r = t^2 and x = s*y with s = ±t; D = ((s - b)*y/4, y) is then
-    integral first at y = 4/gcd(s - b, 4), and the s with the smaller y wins
-    (+t on a tie).
+    needs r = t^2 and x = s*y with s = ±t, giving D = ((s - b)*y/4, y).
+    Already y = 1 is integral for one s: t^2 = b^2 - 8c makes t - b and
+    t + b both even with product divisible by 8, so 4 divides one of them
+    (both when t is even). +t is tried first.
     """
     if k % 2:
         raise ValueError("an even lattice has no class of odd square")
@@ -203,9 +202,7 @@ def class_with_square_exists(L: QuarticLattice, k: int) -> Vec | None:
         if not pell.is_square(r):
             return None
         t = isqrt(r)
-        s = min((t, -t), key=lambda s: 4 // gcd(s - L.b, 4))
-        y = 4 // gcd(s - L.b, 4)
-        return ((s - L.b) * y // 4, y)
+        return _congruent_class(L.b, t, 1) or _congruent_class(L.b, -t, 1)
     classes = _classes_of_square(L, k)
     return classes[0] if classes else None
 
@@ -236,20 +233,18 @@ def find_curve_class(L: QuarticLattice, target: tuple[int, int]) -> Vec | None:
 
 
 def forbidden_small_disc(b: int, c: int) -> tuple[Vec, tuple[int, int]]:
-    """For r = b^2 - 8c in {1, 4, 8}: a witness class E together with its
-    profile (E^2, H.E), one of (0,1), (0,2), (-2,0). Any of those profiles
-    contradicts very ampleness of a degree-4 polarization. Once _index
-    fixes |y|, y = +|y| or -|y| meets the mod-4 congruence (the argument of
-    find_curve_class), and +|y| is tried first."""
+    """For r = b^2 - 8c in FORBIDDEN_DISCS: a witness class E together with
+    its profile (E^2, H.E) = FORBIDDEN_DISCS[r], one of (0,1), (0,2), (-2,0).
+    Any of those profiles contradicts very ampleness of a degree-4
+    polarization. (H.E)^2 - 4E^2 = r*y^2 reads 1 = 1*y^2, 4 = 4*y^2 and
+    8 = 8*y^2, so y = ±1, and one sign meets the mod-4 congruence (the
+    argument of find_curve_class); +1 is tried first."""
     r = b * b - 8 * c
     if r not in FORBIDDEN_DISCS:
         raise ValueError("only discriminants 1, 4, 8 are excluded this way")
-    for sq, deg in ((0, 1), (0, 2), (-2, 0)):
-        y = _index(r, deg, sq)
-        if y is not None:
-            E = _congruent_class(b, deg, y) or _congruent_class(b, deg, -y)
-            return _normalize_effective(b, E), (sq, deg)
-    raise RuntimeError("no witness found; unreachable for r in {1, 4, 8}")
+    sq, deg = FORBIDDEN_DISCS[r]
+    E = _congruent_class(b, deg, 1) or _congruent_class(b, deg, -1)
+    return _normalize_effective(b, E), (sq, deg)
 
 
 def automorph(L: QuarticLattice) -> Mat:

@@ -93,6 +93,18 @@ def test_r_agreeing_with_b_c_is_accepted(capsys, cmd):
     assert rep["inputs"] == {**by_bc["inputs"], "r": 56}
 
 
+@pytest.mark.parametrize("cmd", ["classify", "curve-class", "realize"])
+@pytest.mark.parametrize("b, c", [(0, 0), (0, 1), (2, 1), (1, 1)])
+def test_nonpositive_discriminant_is_refused_alike_by_r_and_b_c(capsys, cmd, b, c):
+    """--r R and a --b/--c pair of the same R <= 0 give one refusal."""
+    r = b * b - 8 * c
+    tail = (*_MODEL_TAILS[cmd], "--no-timestamp")
+    code_r, by_r = run_json(capsys, cmd, "--r", str(r), *tail)
+    code_bc, by_bc = run_json(capsys, cmd, "--b", str(b), "--c", str(c), *tail)
+    assert code_r == code_bc == 2
+    assert by_r["results"] == by_bc["results"] == {"error": f"discriminant {r} is not positive"}
+
+
 def test_pell_report(capsys):
     code, rep = run_json(capsys, "pell", "--r", "17", "--n", "8", "--bound", "1")
     assert code == 0
@@ -405,6 +417,44 @@ def test_reports_are_deterministic(capsys):
         _, first = run(capsys, *argv, "--json", "--no-timestamp")
         _, second = run(capsys, *argv, "--json", "--no-timestamp")
         assert first == second, argv
+
+
+def _readme_examples() -> list[tuple[str, list[str]]]:
+    """Each `$ quartaut ...` line of README's sh blocks, with the lines shown
+    under it up to the next prompt or the end of the block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    out = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme.read_text(), re.M | re.S):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, *shown = chunk.rstrip("\n").split("\n")
+            out.append((command, shown))
+    return out
+
+
+_README_EXAMPLES = _readme_examples()
+
+
+def test_readme_has_shell_examples():
+    assert len(_README_EXAMPLES) >= 3
+
+
+@pytest.mark.parametrize("command, shown", _README_EXAMPLES,
+                         ids=[command for command, _ in _README_EXAMPLES])
+def test_readme_shell_example_prints_what_it_shows(capsys, command, shown):
+    """Run in process: a shown line that strips to "..." ends the
+    comparison, and "| tail -1" keeps the last printed line."""
+    command, _, pipe = command.partition(" | ")
+    prog, *argv = command.split()
+    assert prog == "quartaut" and pipe in ("", "tail -1"), command
+    main(argv)
+    printed = capsys.readouterr().out.splitlines()
+    if pipe:
+        printed = printed[-1:]
+    stripped = [line.strip() for line in shown]
+    if "..." in stripped:
+        shown = shown[:stripped.index("...")]
+        printed = printed[:len(shown)]
+    assert printed == shown
 
 
 def test_timestamp_present_by_default(capsys):

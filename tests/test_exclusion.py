@@ -119,7 +119,7 @@ def test_antiflip_quadratic_does_not_depend_on_b():
             if gamma == 0 or rp % (gamma * gamma):
                 continue
             r = rp // (gamma * gamma)
-            if r in exclusion._FORBIDDEN_DISCS:
+            if r in exclusion.FORBIDDEN_DISCS:
                 continue
             for b in range(1, 16):
                 if (b * b - r) % 8 or (d - b * gamma) % 4:

@@ -1,5 +1,5 @@
 """Isometry checks, descent criteria, and the printed generator matrices."""
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -275,6 +275,64 @@ def test_conic_cap_refuses_exactly_these_lattices():
             assert "|beta| <= 1000000" in str(e), (r, e)
             refused.append(r)
     assert tuple(refused) == CONIC_CAP_RS
+
+
+def _closed_form_conic_solution(L):
+    """The minimal hyperbolic element's (alpha, beta) in closed form: h is
+    the proper automorph of the primitive form (2x^2 + bxy + cy^2)/g,
+    g = gcd(2, b, c), so with (t, u) the solution of t^2 - (r/g^2)u^2 = 4
+    of least u >= 1, (alpha, beta) = ((t - (b/g)s)/2, -(c/g)s) for s = u
+    or s = -u, the first with alpha > 0 and positive trace (Buchmann and
+    Vollmer, *Binary Quadratic Forms*, ch. 6). The least u is 2u1, (t1, u1)
+    the fundamental unit, or the |y| of a class representative of the
+    norm-4 equation."""
+    b, c = L.b, L.c
+    g = gcd(2, b, c)
+    D = L.r // (g * g)
+    t1, u1 = pell.fundamental_solution(D)
+    t, u = min([(2 * t1, 2 * u1)]
+               + [(abs(x), abs(y)) for x, y in pell.solution_class_reps(D, 4) if y],
+               key=lambda tu: tu[1])
+    for s in (u, -u):
+        assert (t - b // g * s) % 2 == 0, L
+        alpha, beta = (t - b // g * s) // 2, -(c // g) * s
+        h = isometry.infinite_order_form(L, alpha, beta)
+        assert h is not None, L
+        if alpha > 0 and h[0][0] + h[1][1] > 0:
+            return alpha, beta
+    raise AssertionError(f"no closed-form conic solution on {L}")
+
+
+def test_closed_form_conic_solution_is_the_scans_answer():
+    """Over the nonsquare models with b in [-8, 8], -130 <= c <= 1 and
+    r <= 1000, the closed form equals minimal_quadeq_solution wherever its
+    |beta| lies within the scan's cap, and past the cap it is still an
+    integral determinant-one isometry whose scan bound 2|c|u lies past the
+    cap too. On the canonical models the scan refuses, some h^k with
+    k <= 3 glues and, with no (-2)-class, sends H to an ample class."""
+    models = [QuarticLattice(b, c) for b in range(-8, 9) for c in range(-130, 2)
+              if 9 <= b * b - 8 * c <= 1000 and not pell.is_square(b * b - 8 * c)]
+    same = past = 0
+    for L in models:
+        alpha, beta = _closed_form_conic_solution(L)
+        if abs(beta) <= isometry._QUADEQ_HARD_CAP:
+            assert isometry.minimal_quadeq_solution(L) == (alpha, beta), L
+            same += 1
+            continue
+        h = isometry.infinite_order_form(L, alpha, beta)
+        assert isometry.is_isometry(L, h), L
+        assert h[0][0] * h[1][1] - h[0][1] * h[1][0] == 1, L
+        _, u = pell.fundamental_solution(L.r)
+        assert 2 * abs(L.c) * u > isometry._QUADEQ_HARD_CAP, L
+        past += 1
+    assert (same, past) == (1233, 676)
+    for r in CONIC_CAP_RS:
+        L = QuarticLattice.from_disc(r)
+        h = isometry.infinite_order_form(L, *_closed_form_conic_solution(L))
+        glued = [hk for hk in (mat_pow(h, k) for k in (1, 2, 3)) if isometry.gluing_ok(L, hk)]
+        assert glued, r
+        assert isometry.torelli_ok(L, glued[0]), r
+        assert class_with_square_exists(L, -2) is None, r
 
 
 def test_walls_refuse_every_gluing_power(monkeypatch):

@@ -4,7 +4,10 @@ Each layer's results are rendered one per line, as the repr of the result or
 as "ErrorType: message" when the call raises, and the sha256 of the
 newline-joined lines must match tests/layer_digests.json. The corpus is
 every model (b, c) with -8 <= b <= 8 and 9 <= r = b^2 - 8c <= 300 (624
-models, 12 of which raise the conic cap in classify_aut). A change that
+models, 12 of which raise the conic cap in classify_aut). Square r has two
+more corpora: solution_class_reps(t^2, n) for 1 <= t <= 40 and
+0 < |n| <= 600, and class_with_square_exists(L, 0) on the 1755 models with
+-40 <= b <= 40 and r = t^2, 3 <= t <= 60. A change that
 alters a layer on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_layer_digests.py > tests/layer_digests.json
@@ -55,6 +58,9 @@ def layers() -> dict[str, list[str]]:
     small = [(b, (b * b - r) // 8) for b in range(-24, 25) for r in sorted(surf.FORBIDDEN_DISCS)
              if (b * b - r) % 8 == 0]
     pell_args = [(r, n) for r in range(1, 120) for n in range(-40, 41) if n]
+    square_args = [(t * t, n) for t in range(1, 41) for n in range(-600, 601) if n]
+    square_models = [surf.QuarticLattice(b, (b * b - t * t) // 8)
+                     for b in range(-40, 41) for t in range(3, 61) if (b * b - t * t) % 8 == 0]
     return {
         "_chamber_walls": [_line(surf._chamber_walls, L) for L in MODELS],
         "ample_square2_axes": [_line(surf.ample_square2_axes, L) for L in MODELS],
@@ -68,6 +74,10 @@ def layers() -> dict[str, list[str]]:
         "forbidden_small_disc": [_line(surf.forbidden_small_disc, b, c) for b, c in small],
         "solve": [_line(pell.solve, r, n) for r, n in pell_args],
         "solution_class_reps": [_line(pell.solution_class_reps, r, n) for r, n in pell_args],
+        "solution_class_reps_square_r": [_line(pell.solution_class_reps, r, n)
+                                         for r, n in square_args],
+        "class_with_square_exists_0": [_line(surf.class_with_square_exists, L, 0)
+                                       for L in square_models],
         "_cell_solutions": _cells(),
         "CURVE_MODELS": [repr(sorted(surf.CURVE_MODELS.items()))],
     }

@@ -28,7 +28,7 @@ DEMO_DIGESTS = {
     "exclusion_sweep.py": "3e82aecfd673f57101e2577b1b372c96cb7cad8147b1fd238e0937459c739e9a",
     "generator_walkthrough.py": "af94c1781f83a260bcf73f5e1920b39b6146b0d05381561f60663098d7c76439",
     "partition_tour.py": "c5ffaa787eff4f92f0467da47d6967053d349198beb6a43b7cd6053e1ca36ad5",
-    "pell_dictionary.py": "50dfa31893b503c460fc19bac5c56891ca16e43e7b92ac6152b6d52258b0661d",
+    "pell_dictionary.py": "b9125ab153d0f2cf05b271d0b8434fad702b7deeebaf82b8b0f67b8c2982f97f",
 }
 
 _LOADED = """

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quartaut import pell, surface
+from quartaut import exclusion, pell, surface
 from quartaut.isometry import reflection
 from quartaut.lattice import IDENTITY, mat_mul, mat_vec
 from quartaut.surface import (
@@ -182,6 +182,7 @@ def test_find_curve_class_pinned_models():
 
 
 def test_forbidden_small_disc_examples():
+    assert surface.FORBIDDEN_DISCS is exclusion.FORBIDDEN_DISCS
     assert forbidden_small_disc(3, 1) == ((1, -1), (0, 1))
     assert forbidden_small_disc(2, 0) == ((0, 1), (0, 2))
     assert forbidden_small_disc(4, 1) == ((1, -1), (-2, 0))
@@ -197,7 +198,7 @@ def test_forbidden_small_disc_witnesses_verify():
         base = GramLattice(4, b, 2 * c)
         assert pairing(base, E, E) == sq
         assert pairing(base, H, E) == deg
-        assert (sq, deg) in ((0, 1), (0, 2), (-2, 0))
+        assert (sq, deg) == surface.FORBIDDEN_DISCS[b * b - 8 * c]
 
 
 def test_classify_examples():
