@@ -196,8 +196,7 @@ def cmd_curve_class(args) -> tuple[dict, int]:
         "class": list(C) if C else None,
     }
     if C is not None:
-        disc = L.dot(surf.H, C) ** 2 - L.dot(surf.H, surf.H) * L.dot(C, C)
-        results["span_disc"] = disc
+        results["span_disc"] = L.r * C[1] ** 2
         results["index"] = abs(C[1])
     return results, EXIT_OK
 

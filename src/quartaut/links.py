@@ -105,20 +105,26 @@ def conjugate(m: Mat, B: Mat) -> Mat:
 
 
 def compose_word(word: LinkWord) -> Mat:
-    """Product of the conjugated step matrices, validating the model chain
-    (every word starts on P3; a step must start where the previous ended)."""
+    """Product of the conjugated step matrices, replaying the word on its
+    frames. The word starts on P3, in the frame that the first step's basis
+    turns into its row's source frame. Before each step the frame in the
+    step's basis must be its row's source frame, and the step then moves
+    the frame Q to m^T Q m for its conjugated matrix m. H^2 is 4 on P3 and
+    10 on X5, so this also makes each step start on the ambient where the
+    last one ended."""
     if not word.steps:
         raise ValueError("empty word")
-    at = "P3"
+    (rec, B), *_ = word.steps
+    G = change_basis(frame("P3", rec.gd), mat_inv_unimodular(B))
     acc = IDENTITY
-    for step in word.steps:
-        if step.record.source != at:
-            raise ValueError(
-                "chain mismatch: step starts on %s but the word is on %s"
-                % (step.record.source, at)
-            )
-        acc = mat_mul(acc, conjugate(link_matrix(step.record), step.change))
-        at = step.record.target
+    for n, (rec, B) in enumerate(word.steps, 1):
+        got, want = change_basis(G, B), frame(rec.source, rec.gd)
+        if got != want:
+            raise ValueError(f"step {n} ({rec.source} {rec.gd}) starts on frame {got!r}, "
+                             f"expected {want!r}")
+        m = conjugate(link_matrix(rec), B)
+        acc = mat_mul(acc, m)
+        G = change_basis(G, m)
     return acc
 
 
@@ -162,8 +168,11 @@ def realize_generator(L: surf.QuarticLattice, target: Mat) -> LinkWord | None:
     Gram of the row's source frame; B is unimodular, so the step's curve
     B(0, 1) = x*H + eps*C spans L together with H. The first frame is
     {H, W}, and a step with conjugated matrix m moves the frame Q to
-    m^T Q m. Words start and end on P3. Search order: length 1 before
-    length 2; catalog order; eps = +1 before eps = -1.
+    m^T Q m. Words start and end on P3. A closer needs no ambient test:
+    the frame's H^2 is its ambient's (4 on P3, 10 on X5), and
+    _step_candidates finds no basis between frames whose H^2 differ.
+    Search order: length 1 before length 2; catalog order; eps = +1 before
+    eps = -1.
     """
     base = L.base
     firsts = [(rec, B, conjugate(link_matrix(rec), B))
@@ -174,8 +183,6 @@ def realize_generator(L: surf.QuarticLattice, target: Mat) -> LinkWord | None:
     for rec1, B1, m1 in firsts:
         cur = change_basis(base, m1)
         for rec2, want in _CLOSERS:
-            if rec2.source != rec1.target:
-                continue
             for B2 in _step_candidates(cur, want):
                 if mat_mul(m1, conjugate(link_matrix(rec2), B2)) == target:
                     return LinkWord((LinkStep(rec1, B1), LinkStep(rec2, B2)))

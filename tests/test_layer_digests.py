@@ -4,8 +4,10 @@ Each layer's results are rendered one per line, as the repr of the result or
 as "ErrorType: message" when the call raises, and the sha256 of the
 newline-joined lines must match tests/layer_digests.json. The corpus is
 every model (b, c) with -8 <= b <= 8 and 9 <= r = b^2 - 8c <= 300 (624
-models, 12 of which raise the conic cap in classify_aut). Square r has two
-more corpora: solution_class_reps(t^2, n) for 1 <= t <= 40 and
+models, 12 of which raise the conic cap in classify_aut). The layers that
+never run the conic scan (_chamber_walls, ample_square2_axes and
+find_curve_class) also run on the 1484 models with -8 <= b <= 8 and
+300 < r <= 1000. Square r has two more corpora: solution_class_reps(t^2, n) for 1 <= t <= 40 and
 0 < |n| <= 600, and class_with_square_exists(L, 0) on the 1755 models with
 -40 <= b <= 40 and r = t^2, 3 <= t <= 60. A change that
 alters a layer on purpose regenerates the file with
@@ -24,8 +26,16 @@ from quartaut import surface as surf
 
 DIGESTS = Path(__file__).with_name("layer_digests.json")
 
-MODELS = [surf.QuarticLattice(b, (b * b - r) // 8)
-          for b in range(-8, 9) for r in range(9, 301) if (b * b - r) % 8 == 0]
+
+
+def _models(lo: int, hi: int) -> list[surf.QuarticLattice]:
+    """Every model with -8 <= b <= 8 and lo <= r <= hi."""
+    return [surf.QuarticLattice(b, (b * b - r) // 8)
+            for b in range(-8, 9) for r in range(lo, hi + 1) if (b * b - r) % 8 == 0]
+
+
+MODELS = _models(9, 300)
+WIDE_MODELS = _models(301, 1000)
 
 
 def _line(fn, *args) -> str:
@@ -78,6 +88,10 @@ def layers() -> dict[str, list[str]]:
                                          for r, n in square_args],
         "class_with_square_exists_0": [_line(surf.class_with_square_exists, L, 0)
                                        for L in square_models],
+        "_chamber_walls_wide": [_line(surf._chamber_walls, L) for L in WIDE_MODELS],
+        "ample_square2_axes_wide": [_line(surf.ample_square2_axes, L) for L in WIDE_MODELS],
+        "find_curve_class_wide": [_line(surf.find_curve_class, L, rec.gd)
+                                  for L in WIDE_MODELS for rec in links.catalog()],
         "_cell_solutions": _cells(),
         "CURVE_MODELS": [repr(sorted(surf.CURVE_MODELS.items()))],
     }
@@ -90,6 +104,7 @@ def digests() -> dict[str, str]:
 
 def test_corpus_size():
     assert len(MODELS) == 624
+    assert len(WIDE_MODELS) == 1484
 
 
 def test_layers_match_recorded_digests():

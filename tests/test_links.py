@@ -287,6 +287,45 @@ def test_verify_paper_names_the_first_step_off_its_frame(monkeypatch):
     assert checks["realize r=17 #1"].ok
 
 
+def test_compose_word_refuses_a_later_step_off_its_frame():
+    # the r = 20 curve-model word closes with the (3, 6) self-link after the
+    # swap 4H - C; without the swap step 2 starts off its row's frame, though
+    # both steps start on P3 and the product is still an integer matrix
+    L, _ = curve_model(20)
+    word = links.realize_generator(L, ((29, 40), (-8, -11)))
+    assert [(s.record.gd, s.change) for s in word.steps] == [
+        ((11, 10), IDENTITY), ((3, 6), ((1, 4), (0, -1)))]
+    first, second = word.steps
+    with pytest.raises(ValueError, match=r"^step 2 \(P3 \(3, 6\)\) starts on frame"):
+        links.compose_word(links.LinkWord((first, second._replace(change=IDENTITY))))
+
+
+def test_verify_paper_names_a_word_off_the_lattice(monkeypatch):
+    # every found word is the r = 20 one: it replays on its own frames, but
+    # its first step does not start on the frame {H, W} of any other lattice
+    L20, _ = curve_model(20)
+    word = links.realize_generator(L20, ((29, 40), (-8, -11)))
+    monkeypatch.setattr(links, "realize_generator", lambda L, target: word)
+    checks = {c.name: c for c in verify.suite_realization()}
+    assert checks["realize r=20 #1"].ok
+    bad = checks["realize r=17 #1"]
+    assert not bad.ok
+    assert bad.detail == ("step 1 (P3 (11, 10)) does not start on {H, W} = "
+                          "GramLattice(q11=4, q12=11, q22=26)")
+
+
+def test_verify_paper_refuses_a_published_word_off_its_frames(monkeypatch):
+    # the r = 20 table word without the swap before its second step
+    table = [(name, ((((11, 10), 0), ((3, 6), 0)) if name == "r=20" else steps), want)
+             for name, steps, want in verify.COMPOSE_TABLE]
+    monkeypatch.setattr(verify, "COMPOSE_TABLE", tuple(table))
+    checks = {c.name: c for c in verify.suite_realization()}
+    bad = checks["compose r=20"]
+    assert not bad.ok
+    assert bad.detail.startswith("step 2 (P3 (3, 6)) starts on frame")
+    assert checks["compose r=48"].ok
+
+
 def test_curve_data_transport_at_56():
     # the swapped curve 4H - C has the same genus and degree, so the same
     # catalog row applies after the base change

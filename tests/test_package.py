@@ -3,6 +3,7 @@ import ast
 import contextlib
 import hashlib
 import io
+import json
 import os
 import runpy
 import subprocess
@@ -51,6 +52,31 @@ def test_cli_imports_only_the_layers_a_command_uses(argv, modules):
     code, loaded = proc.stderr.strip().splitlines()[-1].split(" ", 1)
     assert code == "0", proc.stderr
     assert ast.literal_eval(loaded) == sorted({"quartaut", "quartaut.cli"} | modules)
+
+
+_STDLIB_ONLY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import quartaut
+from quartaut.cli import main
+code = main(["verify-paper", "--json", "--no-timestamp"])
+for name in quartaut.__all__:
+    getattr(quartaut, name)
+print(sorted({m.split(".")[0] for m in sys.modules} - {"__main__"}), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_package_runs_on_the_standard_library_alone():
+    # -I -S: no site-packages and no environment, as with `dependencies = []`
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _STDLIB_ONLY, str(SRC)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)["results"]
+    assert (report["checks"], report["failures"]) == (142, 0)
+    loaded = ast.literal_eval(proc.stderr.strip().splitlines()[-1])
+    assert "quartaut" in loaded
+    assert set(loaded) - {"quartaut"} <= sys.stdlib_module_names
 
 
 def test_every_export_resolves_to_its_layer():
