@@ -156,15 +156,19 @@ def test_pell_refuses_a_bad_bound_before_solving(capsys, monkeypatch):
     assert rep["results"]["error"] == "--bound must be at least 1"
 
 
-@pytest.mark.parametrize("n", ["8", "-8", "9", "20", "999983"])
+@pytest.mark.parametrize("n", ["8", "-8", "9", "20", "999983", "1", "-1", "5", "-5"])
 def test_pell_report_runs_one_lmm_search(capsys, monkeypatch, n):
     """The witness is read off the orbit representatives, so a report with
-    n != 0 runs the LMM search once, and reports what solve reports."""
-    calls, real = [], pell._lmm_reps
-    monkeypatch.setattr(pell, "_lmm_reps", lambda D, N: calls.append((D, N)) or real(D, N))
+    n != 0 runs one class search, and reports what solve reports: one period
+    of sqrt(41) when n^2 < 41, the LMM search otherwise."""
+    calls, lmm, period = [], pell._lmm_reps, pell._period_reps
+    monkeypatch.setattr(pell, "_lmm_reps",
+                        lambda D, N: calls.append(("lmm", D, N)) or lmm(D, N))
+    monkeypatch.setattr(pell, "_period_reps",
+                        lambda D, N: calls.append(("period", D, N)) or period(D, N))
     code, rep = run_json(capsys, "pell", "--r", "41", "--n", n, "--bound", "5")
     assert code == 0
-    assert calls == [(41, int(n))]
+    assert calls == [("period" if int(n) ** 2 < 41 else "lmm", 41, int(n))]
     w = pell.solve(41, int(n))
     assert rep["results"]["witness"] == (list(w) if w else None)
 
@@ -338,12 +342,23 @@ def test_verify_paper_text_prints_the_first_counterexample(capsys, monkeypatch):
 
 
 def test_pqa_cap_becomes_a_report_with_exit_3(capsys, monkeypatch):
+    # sqrt(17) has period 1, so the cap is reached in the LMM search's PQa run
+    monkeypatch.setattr(pell, "_PQA_CAP", 3)
+    pell._unit_data.cache_clear()
+    code, rep = run_json(capsys, "pell", "--r", "17", "--n", "8", "--no-timestamp")
+    assert code == 3
+    assert rep["results"] == {"error": "PQa expansion did not cycle within the iteration cap",
+                              "layer": "pell._pqa"}
+
+
+def test_period_cap_becomes_a_report_with_exit_3(capsys, monkeypatch):
+    # sqrt(94) has period 16, past the cap of 3
     monkeypatch.setattr(pell, "_PQA_CAP", 3)
     pell._unit_data.cache_clear()
     code, rep = run_json(capsys, "pell", "--r", "94", "--n", "7", "--no-timestamp")
     assert code == 3
     assert rep["results"] == {"error": "PQa expansion did not cycle within the iteration cap",
-                              "layer": "pell._pqa"}
+                              "layer": "pell._period"}
 
 
 def test_search_bound_becomes_a_report_with_exit_3(capsys):

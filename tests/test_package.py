@@ -68,8 +68,9 @@ sys.exit(code)
 
 
 def test_package_runs_on_the_standard_library_alone():
-    # -I -S: no site-packages and no environment, as with `dependencies = []`
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _STDLIB_ONLY, str(SRC)],
+    # -I -S: no site-packages and no environment, as with `dependencies = []`;
+    # -B, since -I ignores PYTHONDONTWRITEBYTECODE and would write src/ bytecode
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", _STDLIB_ONLY, str(SRC)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)["results"]

@@ -168,6 +168,8 @@ def test_decision_procedure_vs_brute_oracle(r, n):
 @example(753, -299157)
 @example(665, -873425)
 @example(1960, -(2**6) * 7**3 * 29)
+@example(41, 5)  # n^2 < r, odd period: read off the norm -5 convergent times the -1 unit
+@example(67, -8)  # n^2 < r, f = 2: every solution is twice one of x^2 - 67y^2 = -2
 @given(st.integers(1, 300), st.integers(-64, 64))
 def test_decision_procedure_vs_sympy(r, n):
     """Same decision as sympy, and each of sympy's solutions lies in a
@@ -179,6 +181,25 @@ def test_decision_procedure_vs_sympy(r, n):
     assert pell.has_solution(r, n) == bool(sols)
     for s in sols:
         assert any(_same_class(r, n, s, v) for v in reps), (r, n, s, reps)
+
+
+def test_one_period_gives_the_lmm_classes():
+    """For n^2 < r the classes are read off one period of sqrt(r); they are
+    the LMM search's classes and their conjugates, canonicalized by orbit,
+    for every nonsquare r <= 600 and 0 < |n| < sqrt(r)."""
+    pairs = 0
+    for r in range(2, 601):
+        if pell.is_square(r):
+            continue
+        t, u, _ = pell._unit_data(r)
+        for n in range(-isqrt(r), isqrt(r) + 1):
+            if n == 0 or n * n >= r:
+                continue
+            lmm = sorted({pell._orbit_canonical(v, r, t, u)
+                          for x, y in pell._lmm_reps(r, n) for v in ((x, y), (x, -y))})
+            assert pell.solution_class_reps(r, n) == lmm, (r, n)
+            pairs += 1
+    assert pairs == 18448
 
 
 def test_local_root_criterion_vs_brute_force():

@@ -290,6 +290,26 @@ def test_classify_asks_each_pell_question_once(monkeypatch):
     assert walled == 31
 
 
+def test_classify_reads_the_pell_classes_off_one_period_past_r_64(monkeypatch):
+    """On every canonical model with 64 < r <= 1000, classify_aut asks only
+    x^2 - r*y^2 = ±8 with 8^2 < r, so its Pell classes come from one period
+    of sqrt(r) and the LMM search never runs. The 25 models the conic scan
+    refuses ask their Pell question before the scan."""
+    lmm, period = [], []
+    real_lmm, real_period = pell._lmm_reps, pell._period_reps
+    monkeypatch.setattr(pell, "_lmm_reps", lambda D, N: lmm.append((D, N)) or real_lmm(D, N))
+    monkeypatch.setattr(pell, "_period_reps",
+                        lambda D, N: period.append((D, N)) or real_period(D, N))
+    rs = [r for r in range(65, 1001) if r % 8 in (0, 1, 4)]
+    for r in rs:
+        try:
+            classify_aut(QuarticLattice.from_disc(r))
+        except RuntimeError as e:
+            assert "|beta| <= 1000000" in str(e), (r, e)
+    assert lmm == []
+    assert {D for D, _ in period} == {r for r in rs if not pell.is_square(r)}
+
+
 def test_hyperplane_is_ample():
     for r in ALL_R:
         L = QuarticLattice(*canonical_bc(r))
