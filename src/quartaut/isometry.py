@@ -154,7 +154,7 @@ def minimal_gluing_exponent(L: surf.QuarticLattice) -> int:
     Past that there is no (-2)-class, so every positive class is ample, and
     h^k passes torelli_ok unchecked: H.h^k(H) = 2 tr(h^k) > 0.
     """
-    if not pell.is_square(L.r) and surf.class_with_square_exists(L, -2) is not None:
+    if not pell.is_square(L.r) and surf._chamber_walls(L):
         raise RuntimeError("(-2)-walls bound the ample chamber, so no power of the "
                            "minimal isometry sends H to an ample class")
     return _gluing_power(L)[1]

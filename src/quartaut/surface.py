@@ -5,14 +5,17 @@ class, so the Gram matrix is ((4, b), (b, 2c)) and the discriminant is
 r = b^2 - 8c. Everything downstream keys off r:
 
 * classes D with D^2 = k correspond to solutions of x^2 - r*y^2 = 4k
-  satisfying x ≡ b*y (mod 4), via D = ((x - b*y)/4, y) in the (H, W) basis;
+  satisfying x ≡ b*y (mod 4), via D = ((x - b*y)/4, y) in the (H, W) basis
+  (class_with_square_exists). For nonsquare r the classes of square -2 and
+  2, which decide walls and axes, are read instead off one cycle of reduced
+  forms of f = 2x^2 + bxy + cy^2 = D^2/2 (_reduced_cycle);
 * effective (-2)-classes cut the positive cone into chambers, and the
   chamber containing H is the ample cone. In rank 2 the projectivized
   positive cone is a hyperbolic line, so that chamber is an interval bounded
   by at most two walls, one on each side of H; the distance from H to the
   wall of delta grows with H.delta, so on each side the wall of least degree
-  is the nearest one. It is read at the least-|y| class of its automorph
-  orbit or at a neighbour of that class (_chamber_walls);
+  is the nearest one. It is read at each orbit's class on the cycle or at
+  that class's neighbour in its orbit (_chamber_walls);
 * an ample square-2 class A is read off the two walls delta1, delta2: the
   reflection x -> (A.x)A - x fixes A, so it maps the chamber to itself and
   swaps the walls, giving (A.delta1)A = delta1 + delta2 with
@@ -118,9 +121,10 @@ class AutKind(NamedTuple("AutKind", [("tag", str), ("generators", tuple[Mat, ...
                                      ("axes", tuple[Vec, ...])])):
     """Result of classify_aut: a tag of AUT_GENERATOR_COUNTS with that many
     generator matrices (checked on construction), and the witnesses that
-    decide the tag: obstruction, a nonzero class of square 0 or -2 (None
-    when there is none), and axes, the ample square-2 classes sorted by
-    their Pell key (the reflection axes for Z2 and Z2starZ2)."""
+    decide the tag: obstruction, a nonzero class of square 0 (square r) or
+    the first chamber wall, an effective class of square -2 (None when there
+    is neither), and axes, the ample square-2 classes sorted by their Pell
+    key (the reflection axes for Z2 and Z2starZ2)."""
 
     __slots__ = ()
 
@@ -248,10 +252,70 @@ def forbidden_small_disc(b: int, c: int) -> tuple[Vec, tuple[int, int]]:
 
 
 def automorph(L: QuarticLattice) -> Mat:
-    """Generator of the infinite cyclic isometry group fixing H's Pell frame:
-    the class-vector action of the fundamental solution of x^2 - r*y^2 = 1."""
+    """The class-vector action T of the fundamental solution (t, u) of
+    x^2 - r*y^2 = 1, an isometry of determinant 1.
+
+    The isometries of determinant 1 are ±A^j, A the automorph that
+    _reduced_cycle reads off one cycle, and T = ±A^j for some j >= 1. T
+    need not generate them: j is 2, 3 or 4 on 491 of the 1925 nonsquare
+    models with -8 <= b <= 8 and r <= 1000. On QuarticLattice(2, -1), r = 12,
+    A = ((-1, -1), (-2, -3)) and T = A^2 = ((3, 4), (8, 11)).
+    """
     t, u = pell.fundamental_solution(L.r)
     return ((t - L.b * u, -2 * L.c * u), (4 * u, t + L.b * u))
+
+
+def _reduced_cycle(L: QuarticLattice) -> tuple[list[Vec], list[Vec], Mat]:
+    """For nonsquare r: the classes of square -2, the classes of square 2,
+    each one per orbit under ±A, and A, read off one cycle of reduced forms
+    of f = 2x^2 + bxy + cy^2, which is D^2/2 at D = (x, y).
+
+    A form [g1, g2, g3] = g1*x^2 + g2*xy + g3*y^2 is reduced when
+    |sqrt(r) - 2|g1|| < g2 < sqrt(r), and g = f∘M (M of determinant 1)
+    has leading coefficient g1 = f(M*(1, 0)). W -> W + kH moves b into (sqrt(r) - 4, sqrt(r)), where
+    [2, b, c] is reduced (for r > 16 since sqrt(r) - 4 < b; r = 12, the one
+    smaller nonsquare discriminant, gets b = 2), so the cycle starts at
+    M_red = ((1, k), (0, 1)), whose first column is H. Each Gauss rho step
+    [a, b, c] -> [c, b', (b'^2 - r)/4c], with b' ≡ -b (mod 2|c|) in
+    (sqrt(r) - 2|c|, sqrt(r)), multiplies M by ((0, -1), (1, s)),
+    s = (b + b')/2c, and the walk stops when the first form comes back, at
+    M_end; A = M_end*M_red^-1 is f's proper automorph that generates the
+    isometries of determinant 1 up to sign (Buchmann and Vollmer, *Binary
+    Quadratic Forms*, ch. 6). By Lagrange's bound every form equivalent to
+    f whose leading coefficient m has |m| < sqrt(r)/2 is reduced after a
+    translation, so it is on the cycle; as r >= 9, the M*(1, 0) with
+    f = -1 and f = 1 are one class of square -2 and 2 per ±A-orbit.
+
+    The walk runs at most pell._PQA_CAP steps, the bound of pell._period,
+    and past it raises a RuntimeError that names the bound.
+    """
+    r, sd = L.r, isqrt(L.r)
+    b0 = sd - (sd - L.b) % 4
+    k = (b0 - L.b) // 4
+    a, b, c = 2, b0, (b0 * b0 - r) // 8
+    (m11, m12), (m21, m22) = (1, k), (0, 1)
+    found: dict[int, list[Vec]] = {-1: [], 1: []}
+    for _ in range(pell._PQA_CAP):
+        nb = sd - (sd + b) % (2 * abs(c))
+        s = (b + nb) // (2 * c)
+        a, b, c = c, nb, (nb * nb - r) // (4 * c)
+        m11, m12, m21, m22 = m12, s * m12 - m11, m22, s * m22 - m21
+        if a == 2 and b == b0:
+            return found[-1], found[1], ((m11, m12 - k * m11), (m21, m22 - k * m21))
+        if a == 1 or a == -1:
+            found[a].append((m11, m21))
+    raise RuntimeError("the cycle of reduced forms of 2x^2 + bxy + cy^2 with r = %d "
+                       "did not close within %d steps" % (r, pell._PQA_CAP))
+
+
+def _classes(L: QuarticLattice) -> tuple[list[Vec], list[Vec], Mat | None]:
+    """The classes of square -2 and of square 2 that decide walls and axes,
+    and the automorph A between neighbours in their orbits: _reduced_cycle(L)
+    on nonsquare r. On square r every class of square -2, none of square 2
+    (ample_square2_axes) and no A."""
+    if pell.is_square(L.r):
+        return _classes_of_square(L, -2), [], None
+    return _reduced_cycle(L)
 
 
 def _pell_key(L: QuarticLattice, D: Vec) -> tuple[int, int, int]:
@@ -259,27 +323,30 @@ def _pell_key(L: QuarticLattice, D: Vec) -> tuple[int, int, int]:
     return abs(D[1]), D[1], L.dot(H, D)
 
 
-def _least_degree_each_side(L: QuarticLattice, starts: list[Vec]) -> list[Vec]:
-    """Among the classes of one square k != 0 reached from starts, the class
+def _least_degree_each_side(L: QuarticLattice, starts: list[Vec],
+                            A: Mat | None) -> list[Vec]:
+    """Among the classes of one square k = ±2 reached from starts, the class
     of least degree D.H with y < 0 and the one with y > 0 (each normalized
     effective), sorted by _pell_key; at most two classes.
 
-    For square r the starts are the whole finite set. For nonsquare r each
-    start must be the least-|y| point of its automorph orbit, as
-    _classes_of_square gives them. Along an orbit the normalized y changes
-    sign once, and on each side the degree D.H = x grows with |y|, since
-    x^2 = 4k + r*y^2. So the least degree on a side lies at the orbit's
-    minimum or at its neighbour across the flip, and D, T*D and T^-1*D
-    (T the automorph) are all that need reading.
+    For square r the starts are the whole finite set and A is None. For
+    nonsquare r they are _reduced_cycle's classes and A its automorph.
+    Along an orbit the normalized y changes sign once, at H, and on each
+    side the degree D.H = x grows with |y|, since x^2 = 4k + r*y^2. So the
+    least degree on a side lies at the orbit's class nearest H on that side.
+    On the hyperbolic line of the positive cone, write v = alpha*e + beta*e'
+    in a basis of the two isotropic lines: the point of v (for v^2 > 0) or
+    its wall (v^2 < 0) sits at log|alpha/beta|, and A scales alpha and beta
+    by inverse factors. The cycle's first columns are convergents of a root
+    of f, so |beta| falls and |alpha| grows along the cycle (Legendre's
+    best approximation), and they run in order from H to A*H. So each
+    start D is its orbit's nearest class past H towards A*H, and A^-1*D the
+    nearest on the other side: D and A^-1*D are all that need reading.
     """
-    if not starts:
-        return []
-    steps: tuple[Mat, ...] = ()
-    if not pell.is_square(L.r):
-        T = automorph(L)
-        steps = (T, mat_inv_unimodular(T))
-    cands = [_normalize_effective(L.b, D)
-             for s in starts for D in (s, *(mat_vec(M, s) for M in steps))]
+    if A is not None:
+        Ai = mat_inv_unimodular(A)
+        starts = starts + [mat_vec(Ai, D) for D in starts]
+    cands = [_normalize_effective(L.b, D) for D in starts]
     sides = ([D for D in cands if D[1] <= 0], [D for D in cands if D[1] > 0])
     least = (min(side, key=lambda D: (L.dot(H, D), D)) for side in sides if side)
     return sorted(least, key=lambda D: _pell_key(L, D))
@@ -288,7 +355,8 @@ def _least_degree_each_side(L: QuarticLattice, starts: list[Vec]) -> list[Vec]:
 def _chamber_walls(L: QuarticLattice) -> list[Vec]:
     """The effective (-2)-classes whose walls bound the ample chamber: the
     nearest wall on each side of H, i.e. the least degree on each side."""
-    return _least_degree_each_side(L, _classes_of_square(L, -2))
+    neg2, _, A = _classes(L)
+    return _least_degree_each_side(L, neg2, A)
 
 
 def is_ample(L: QuarticLattice, A: Vec) -> bool:
@@ -319,13 +387,16 @@ def ample_square2_axes(L: QuarticLattice) -> list[Vec]:
     has no square-2 class: x^2 - t^2*y^2 = 8 needs x - ty and x + ty even
     with product 8, so 2ty = ±2, and t >= 3 as 1 and 4 are forbidden.
     """
-    return _axes(L, _chamber_walls(L))
+    neg2, pos2, A = _classes(L)
+    return _axes(L, _least_degree_each_side(L, neg2, A), pos2, A)
 
 
-def _axes(L: QuarticLattice, walls: list[Vec]) -> list[Vec]:
-    """ample_square2_axes(L), given walls = _chamber_walls(L)."""
+def _axes(L: QuarticLattice, walls: list[Vec], pos2: list[Vec],
+          A: Mat | None) -> list[Vec]:
+    """ample_square2_axes(L), given _classes(L) = (neg2, pos2, A) and the
+    chamber walls read off neg2."""
     if not walls:
-        return _least_degree_each_side(L, _classes_of_square(L, 2))
+        return _least_degree_each_side(L, pos2, A)
     if len(walls) == 1:
         return []
     d1, d2 = walls
@@ -343,14 +414,17 @@ def classify_aut(L: QuarticLattice) -> AutKind:
     or rational curves). P2: some ample class has square 2.
     P1 and not P2 -> Trivial; P1 and P2 -> Z2; not P1 and P2 -> Z2starZ2
     (two involutions, free product); neither -> Z. The witnesses of P1 and
-    P2 come back as the record's obstruction and axes. The (-2)-classes are
-    read once and give both the obstruction and the chamber walls.
+    P2 come back as the record's obstruction and axes. The classes of square
+    -2 and 2 are read once and give the chamber walls, the axes and, on
+    nonsquare r, the obstruction: a (-2)-class exists exactly when a wall
+    does, and the first wall is one.
     """
-    neg2 = _classes_of_square(L, -2)
+    neg2, pos2, A = _classes(L)
+    walls = _least_degree_each_side(L, neg2, A)
     obstruction = class_with_square_exists(L, 0)
-    if obstruction is None and neg2:
-        obstruction = neg2[0]
-    axes = _axes(L, _least_degree_each_side(L, neg2))
+    if obstruction is None and walls:
+        obstruction = walls[0]
+    axes = _axes(L, walls, pos2, A)
     if obstruction:
         tag = "Z2" if axes else "Trivial"
     else:

@@ -361,6 +361,17 @@ def test_period_cap_becomes_a_report_with_exit_3(capsys, monkeypatch):
                               "layer": "pell._period"}
 
 
+def test_cycle_cap_becomes_a_report_with_exit_3(capsys, monkeypatch):
+    # the cycle of reduced forms of 2x^2 + xy - 5y^2 (r = 41) is longer than 3
+    monkeypatch.setattr(pell, "_PQA_CAP", 3)
+    code, rep = run_json(capsys, "classify", "--r", "41", "--no-timestamp")
+    assert code == 3
+    assert rep["results"] == {
+        "error": ("the cycle of reduced forms of 2x^2 + bxy + cy^2 with r = 41 "
+                  "did not close within 3 steps"),
+        "layer": "surface._reduced_cycle"}
+
+
 def test_search_bound_becomes_a_report_with_exit_3(capsys):
     code, rep = run_json(capsys, "classify", "--r", "265", "--no-timestamp")
     assert code == 3

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from quartaut import exclusion, pell, surface
 from quartaut.isometry import reflection
-from quartaut.lattice import IDENTITY, mat_mul, mat_vec
+from quartaut.lattice import IDENTITY, mat_inv_unimodular, mat_mul, mat_vec
 from quartaut.surface import (
     CURVE_MODELS,
     H,
@@ -267,47 +267,116 @@ def test_classify_aut_returns_the_witnesses_that_decide_its_tag():
             assert kind.generators == tuple(reflection(L, A) for A in kind.axes), r
 
 
-def test_classify_asks_each_pell_question_once(monkeypatch):
-    """One classify_aut on every canonical model with 9 <= r <= 260 asks
-    pell.solution_class_reps at most once per (r, n): the (-2)-classes give
-    both the obstruction and the chamber walls. With a (-2)-class the axis
-    is read off the walls, so (r, 8) is never asked."""
-    asked, real = [], pell.solution_class_reps
-    monkeypatch.setattr(pell, "solution_class_reps",
-                        lambda D, n: asked.append((D, n)) or real(D, n))
-    walled = 0
-    for r in range(9, 261):
-        if r % 8 not in (0, 1, 4):
+def test_walls_and_axes_run_no_pell_search_on_nonsquare_r(monkeypatch):
+    """On every canonical nonsquare model with 9 <= r <= 1000, classify_aut,
+    _chamber_walls, ample_square2_axes and minimal_gluing_exponent read the
+    classes of square -2 and 2 off the cycle of reduced forms: none of them
+    calls pell.solution_class_reps. The models the conic scan refuses (25
+    in classify_aut; 40 in minimal_gluing_exponent, which also scans the
+    Z2starZ2 models) read their walls before the scan."""
+    from quartaut import isometry
+
+    def must_not_run(D, n):
+        raise AssertionError("solution_class_reps(%d, %d) was asked" % (D, n))
+
+    monkeypatch.setattr(pell, "solution_class_reps", must_not_run)
+    layers = (classify_aut, isometry.minimal_gluing_exponent)
+    refused = dict.fromkeys(layers, 0)
+    for r in range(9, 1001):
+        if r % 8 not in (0, 1, 4) or pell.is_square(r):
             continue
-        L = QuarticLattice(*canonical_bc(r))
-        asked.clear()
-        classify_aut(L)
-        questions = set(asked)
-        assert len(asked) == len(questions), (r, asked)
-        if class_with_square_exists(L, -2) is not None:
-            walled += 1
-            assert (r, 8) not in questions, (r, asked)
-    assert walled == 31
+        L = QuarticLattice.from_disc(r)
+        surface._chamber_walls(L)
+        ample_square2_axes(L)
+        for layer in layers:
+            try:
+                layer(L)
+            except RuntimeError as e:
+                walls = "(-2)-walls" in str(e) and layer is not classify_aut
+                assert walls or "|beta| <= 1000000" in str(e), (r, e)
+                refused[layer] += not walls
+    assert tuple(refused.values()) == (25, 40)
 
 
-def test_classify_reads_the_pell_classes_off_one_period_past_r_64(monkeypatch):
-    """On every canonical model with 64 < r <= 1000, classify_aut asks only
-    x^2 - r*y^2 = ±8 with 8^2 < r, so its Pell classes come from one period
-    of sqrt(r) and the LMM search never runs. The 25 models the conic scan
-    refuses ask their Pell question before the scan."""
-    lmm, period = [], []
-    real_lmm, real_period = pell._lmm_reps, pell._period_reps
-    monkeypatch.setattr(pell, "_lmm_reps", lambda D, N: lmm.append((D, N)) or real_lmm(D, N))
-    monkeypatch.setattr(pell, "_period_reps",
-                        lambda D, N: period.append((D, N)) or real_period(D, N))
-    rs = [r for r in range(65, 1001) if r % 8 in (0, 1, 4)]
-    for r in rs:
-        try:
-            classify_aut(QuarticLattice.from_disc(r))
-        except RuntimeError as e:
-            assert "|beta| <= 1000000" in str(e), (r, e)
-    assert lmm == []
-    assert {D for D, _ in period} == {r for r in rs if not pell.is_square(r)}
+def _old_walls_and_axes(L):
+    """Walls and axes by the rule that read them off the Pell classes: the
+    classes of square k from pell.solution_class_reps(r, 4k), each the
+    least-|y| point of its orbit under the Pell automorph T, and their
+    images under T and T^-1; on each side of H the least degree. With two
+    walls the axis is (delta1 + delta2)/n, n^2 = delta1.delta2 - 2."""
+    T = surface.automorph(L)
+    steps = (T, mat_inv_unimodular(T))
+
+    def least_each_side(k):
+        starts = [((x - L.b * y) // 4, y) for x, y in pell.solution_class_reps(L.r, 4 * k)
+                  if (x - L.b * y) % 4 == 0]
+        cands = [surface._normalize_effective(L.b, D)
+                 for s in starts for D in (s, *(mat_vec(M, s) for M in steps))]
+        sides = ([D for D in cands if D[1] <= 0], [D for D in cands if D[1] > 0])
+        least = [min(side, key=lambda D: (L.dot(H, D), D)) for side in sides if side]
+        return sorted(least, key=lambda D: (abs(D[1]), D[1], L.dot(H, D)))
+
+    walls = least_each_side(-2)
+    if not walls:
+        return walls, least_each_side(2)
+    d1, d2 = walls
+    s, m = (d1[0] + d2[0], d1[1] + d2[1]), L.dot(d1, d2) - 2
+    n = isqrt(m)
+    if n * n != m or s[0] % n or s[1] % n:
+        return walls, []
+    return walls, [(s[0] // n, s[1] // n)]
+
+
+def _point(L, D):
+    """Where D sits on the hyperbolic line H + tE, E = (-b, 4) spanning H's
+    orthogonal complement (E^2 = -4r): D = (x/4)H + (y/4)E with x = D.H
+    after normalizing x > 0, so t = y/x for D^2 > 0 and t = x/(r*y), the
+    wall of D, for D^2 < 0."""
+    x, y = L.dot(H, D), D[1]
+    if x < 0:
+        x, y = -x, -y
+    return Fraction(y, x) if L.dot(D, D) > 0 else Fraction(x, L.r * y)
+
+
+def test_reduced_cycle_against_the_pell_classes():
+    """Every nonsquare model with |b| <= 12 and r <= 3000: each class the
+    cycle returns has square -2 or 2 as listed and sits (its point or its
+    wall) strictly between H and A*H, A is an isometry of determinant 1,
+    the Pell automorph is ±A^j for some j >= 1, and the walls and axes are
+    those of the Pell-class rule. For r <= 300 the cycle finds a class of
+    square -2 (and of square 2) whenever a |y| <= 60 search does; it also
+    finds classes past the box, such as (-197585722, -31750313) of square 2
+    on QuarticLattice(-11, -9)."""
+    from quartaut import isometry
+
+    models = powers = boxed = 0
+    for b in range(-12, 13):
+        for r in range(9, 3001):
+            if (b * b - r) % 8 or pell.is_square(r):
+                continue
+            L = QuarticLattice(b, (b * b - r) // 8)
+            neg2, pos2, A = surface._reduced_cycle(L)
+            assert all(L.dot(D, D) == -2 for D in neg2), L
+            assert all(L.dot(D, D) == 2 for D in pos2), L
+            lo, hi = sorted((Fraction(0), _point(L, mat_vec(A, H))))
+            assert all(lo < _point(L, D) < hi for D in neg2 + pos2), L
+            assert isometry.is_isometry(L, A), L
+            assert A[0][0] * A[1][1] - A[0][1] * A[1][0] == 1, L
+            T, Aj, j = surface.automorph(L), A, 1
+            while T not in (Aj, tuple(tuple(-e for e in row) for row in Aj)):
+                Aj, j = mat_mul(Aj, A), j + 1
+                assert j <= 6, L
+            powers += j > 1
+            walls, axes = _old_walls_and_axes(L)
+            assert surface._chamber_walls(L) == walls, L
+            assert ample_square2_axes(L) == axes, L
+            if r <= 300:
+                for k, found in ((-2, neg2), (2, pos2)):
+                    in_box = bool(_classes_in_box(L, k, 60))
+                    assert found or not in_box, (L, k)
+                    boxed += in_box
+            models += 1
+    assert (models, powers, boxed) == (8869, 2077, 484)
 
 
 def test_hyperplane_is_ample():
