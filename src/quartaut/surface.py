@@ -272,10 +272,11 @@ def _reduced_cycle(L: QuarticLattice) -> tuple[list[Vec], list[Vec], Mat]:
 
     A form [g1, g2, g3] = g1*x^2 + g2*xy + g3*y^2 is reduced when
     |sqrt(r) - 2|g1|| < g2 < sqrt(r), and g = f∘M (M of determinant 1)
-    has leading coefficient g1 = f(M*(1, 0)). W -> W + kH moves b into (sqrt(r) - 4, sqrt(r)), where
-    [2, b, c] is reduced (for r > 16 since sqrt(r) - 4 < b; r = 12, the one
-    smaller nonsquare discriminant, gets b = 2), so the cycle starts at
-    M_red = ((1, k), (0, 1)), whose first column is H. Each Gauss rho step
+    has leading coefficient g1 = f(M*(1, 0)). W -> W + kH moves b into
+    (sqrt(r) - 4, sqrt(r)), where [2, b, c] is reduced (for r > 16 since
+    sqrt(r) - 4 < b; r = 12, the one smaller nonsquare discriminant, gets
+    b = 2), so the cycle starts at M_red = ((1, k), (0, 1)), whose first
+    column is H. Each Gauss rho step
     [a, b, c] -> [c, b', (b'^2 - r)/4c], with b' ≡ -b (mod 2|c|) in
     (sqrt(r) - 2|c|, sqrt(r)), multiplies M by ((0, -1), (1, s)),
     s = (b + b')/2c, and the walk stops when the first form comes back, at
