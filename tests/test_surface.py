@@ -267,6 +267,52 @@ def test_classify_aut_returns_the_witnesses_that_decide_its_tag():
             assert kind.generators == tuple(reflection(L, A) for A in kind.axes), r
 
 
+def test_classify_asks_each_pell_question_once(monkeypatch):
+    """One classify_aut on every canonical model with 9 <= r <= 260 asks
+    pell.solution_class_reps at most once per (r, n): only square r asks,
+    and only (r, -8), whose classes give both the obstruction and the
+    chamber walls. Square r has no class of square 2, so (r, 8) is never
+    asked."""
+    asked, real = [], pell.solution_class_reps
+    monkeypatch.setattr(pell, "solution_class_reps",
+                        lambda D, n: asked.append((D, n)) or real(D, n))
+    walled = 0
+    for r in range(9, 261):
+        if r % 8 not in (0, 1, 4):
+            continue
+        L = QuarticLattice(*canonical_bc(r))
+        asked.clear()
+        kind = classify_aut(L)
+        assert asked == ([(r, -8)] if pell.is_square(r) else []), (r, asked)
+        if class_with_square_exists(L, -2) is not None:
+            walled += 1
+            assert surface._chamber_walls(L) and kind.obstruction is not None, r
+    assert walled == 31
+
+
+def test_classify_reads_the_pell_classes_off_one_period_past_r_64(monkeypatch):
+    """On every canonical model with 64 < r <= 1000, classify_aut reads the
+    classes of x^2 - r*y^2 = ±8 off one cycle of reduced forms on nonsquare
+    r, a single walk per model, and the LMM search never runs. The 25
+    models the conic scan refuses walk their cycle before the scan."""
+    lmm, cycles = [], []
+    real_lmm, real_cycle = pell._lmm_reps, surface._reduced_cycle
+    monkeypatch.setattr(pell, "_lmm_reps", lambda D, N: lmm.append((D, N)) or real_lmm(D, N))
+    monkeypatch.setattr(surface, "_reduced_cycle",
+                        lambda L: cycles.append(L.r) or real_cycle(L))
+    rs = [r for r in range(65, 1001) if r % 8 in (0, 1, 4)]
+    refused = 0
+    for r in rs:
+        try:
+            classify_aut(QuarticLattice.from_disc(r))
+        except RuntimeError as e:
+            assert "|beta| <= 1000000" in str(e), (r, e)
+            refused += 1
+    assert lmm == []
+    assert cycles == [r for r in rs if not pell.is_square(r)]
+    assert refused == 25
+
+
 def test_walls_and_axes_run_no_pell_search_on_nonsquare_r(monkeypatch):
     """On every canonical nonsquare model with 9 <= r <= 1000, classify_aut,
     _chamber_walls, ample_square2_axes and minimal_gluing_exponent read the
