@@ -6,14 +6,13 @@ Two routes are deliberately kept apart:
   ``has_solution`` read their answer off it through ``least_witness``. It
   takes one of three paths, chosen by the input alone:
 
-  - nonsquare r and n^2 < r: the first half of one period of the
-    continued fraction of sqrt(r), and the fundamental unit at its end. By
-    Lagrange's theorem every primitive solution of x^2 - r*y^2 = m with
-    |m| < sqrt(r) and x, y > 0 is a convergent, so a convergent of norm
-    ±n/f^2 gives a class (Robertson, "Solving the generalized Pell
-    equation x^2 - Dy^2 = N", 2004, the case N^2 < D); the period is
-    palindromic, so its second half gives only conjugates. The cost is
-    about one period (the unit's walk is cached per r), whatever n is.
+  - nonsquare r and n^2 < r: one period of the continued fraction of
+    sqrt(r), the walk that also gives the fundamental unit. By Lagrange's
+    theorem every primitive solution of x^2 - r*y^2 = m with |m| < sqrt(r)
+    and x, y > 0 is a convergent, so a convergent of norm ±n/f^2 gives a
+    class (Robertson, "Solving the generalized Pell equation
+    x^2 - Dy^2 = N", 2004, the case N^2 < D). The cost is one period,
+    whatever n is.
   - nonsquare r and n^2 >= r: the LMM class-by-class search (Robertson,
     as above): for each factor m = n/f^2 and each square root z0 of r
     modulo |m| with 0 <= z0 <= |m|/2 (only z0 ≡ r mod 2 when |m| is even),
@@ -90,17 +89,12 @@ def _mul(v: Vec, w: Vec, D: int) -> Vec:
     return (v[0] * w[0] + D * v[1] * w[1], v[0] * w[1] + v[1] * w[0])
 
 
-def _period(D: int, half: bool = False):
+def _period(D: int):
     """Yield (v, G, B) over one period of the continued fraction of sqrt(D),
     D > 0 nonsquare: G/B runs over the convergents G_{i-1}/B_{i-1} for
     i = 1, ..., l and v = G^2 - D*B^2 = (-1)^i * Q_i. This is _pqa(0, 1, D),
     whose state first returns to Q = 1 at the end of the period, so no
-    state set is kept; the last (G, B) solves x^2 - D*y^2 = (-1)^l.
-
-    With half, the walk stops at the middle of the palindromic period
-    (Q_i = Q_{l-i}, P_i = P_{l+1-i}): at the first i with Q_i = Q_{i-1}
-    (odd l, i = (l + 1)/2) or P_i = P_{i-1} (even l, i = l/2 + 1), so it
-    yields the first l//2 + 1 convergents."""
+    state set is kept; the last (G, B) solves x^2 - D*y^2 = (-1)^l."""
     sd = isqrt(D)
     P, Q, v = 0, 1, 1
     gm1, g, bm1, b = 0, 1, 1, 0
@@ -108,12 +102,11 @@ def _period(D: int, half: bool = False):
         a = (P + sd) // Q
         gm1, g = g, a * g + gm1
         bm1, b = b, a * b + bm1
-        Pm1, Qm1 = P, Q
         P = a * Q - P
         Q = (D - P * P) // Q
         v = -v
         yield v * Q, g, b
-        if Q == 1 or half and (Q == Qm1 or P == Pm1):
+        if Q == 1:
             return
     raise RuntimeError("PQa expansion did not cycle within the iteration cap")
 
@@ -188,16 +181,10 @@ def _period_reps(D: int, N: int) -> list[Vec]:
     that primitive x/y a convergent of sqrt(D), and one period of
     convergents covers every class up to the units. So a convergent (G, B)
     with G^2 - D*B^2 = N/f^2 gives (f*G, f*B); one with -N/f^2 gives f*(G, B)
-    times the norm -1 unit, which exists only when the period is odd.
-
-    The period is palindromic, Q_i = Q_{l-i}, so convergent l - i gives the
-    conjugate of convergent i's class up to a unit, and
-    solution_class_reps pools conjugates. Hence the first half of the
-    period, _period(D, half=True), and its last convergent, the unit that
-    the cached _unit_data holds, cover every class."""
-    t, u, neg = _unit_data(D)
+    times the norm -1 unit, which exists only when the period is odd."""
+    _, _, neg = _unit_data(D)
     reps: list[Vec] = []
-    for v, g, b in (*_period(D, half=True), (-1, *neg) if neg else (1, t, u)):
+    for v, g, b in _period(D):
         if N % v:
             continue
         q = N // v

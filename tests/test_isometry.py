@@ -10,7 +10,7 @@ from quartaut.surface import (
     H, QuarticLattice, automorph, canonical_bc, class_with_square_exists, classify_aut,
     curve_model,
 )
-from quartaut import isometry, pell
+from quartaut import isometry, pell, surface
 
 L17 = QuarticLattice(11, 13)
 M17 = ((19, 72), (-5, -19))
@@ -351,15 +351,20 @@ def test_walls_refuse_every_gluing_power(monkeypatch):
             m.setattr(isometry, "minimal_quadeq_solution", _scan_must_not_run)
             isometry.minimal_gluing_exponent(L)
     # past the refusal there is no (-2)-class, so h^k(H) is ample unchecked:
-    # the refusal reads the walls off the cycle of reduced forms, and no
-    # Pell class search runs
+    # the refusal's own walk of the cycle of reduced forms is the only one,
+    # and no Pell class search runs
     asked, real = [], pell.solution_class_reps
     monkeypatch.setattr(pell, "solution_class_reps",
                         lambda D, n: asked.append((D, n)) or real(D, n))
+    walked, cycle = [], surface._reduced_cycle
+    monkeypatch.setattr(surface, "_reduced_cycle",
+                        lambda L: walked.append(L) or cycle(L))
     models = [curve_model(r)[0] for r in (20, 32, 40, 48)]
     models += [QuarticLattice.from_disc(r) for r in Z_BEYOND_PAPER]
     for L in models:
+        walked.clear()
         isometry.minimal_gluing_exponent(L)
+        assert walked == [L], (L, walked)
     assert asked == []
 
 
