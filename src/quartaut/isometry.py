@@ -146,7 +146,11 @@ def generators_for(L: surf.QuarticLattice, tag: str, axes: list[Vec]) -> list[Ma
 
 
 def minimal_gluing_exponent(L: surf.QuarticLattice) -> int:
-    """The k for which aut_generators returns h^k in the infinite case.
+    """The least k >= 1 for which h^k glues, h the minimal hyperbolic
+    isometry, on any nonsquare lattice without (-2)-walls. aut_generators
+    returns that h^k only for the Z tag; on Z2starZ2 models a k comes back
+    too (2 on the r = 28 and r = 56 curve models), where two reflections
+    generate instead.
 
     A (-2)-class on nonsquare r is refused before the conic scan: its walls
     bound the ample chamber on both sides, and no hyperbolic isometry maps

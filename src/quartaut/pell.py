@@ -4,21 +4,15 @@ Two routes are deliberately kept apart:
 
 * ``solution_class_reps`` is the one decision route; ``solve`` and
   ``has_solution`` read their answer off it through ``least_witness``. It
-  takes one of three paths, chosen by the input alone:
+  takes one of two paths, chosen by the input alone:
 
-  - nonsquare r and n^2 < r: one period of the continued fraction of
-    sqrt(r), the walk that also gives the fundamental unit. By Lagrange's
-    theorem every primitive solution of x^2 - r*y^2 = m with |m| < sqrt(r)
-    and x, y > 0 is a convergent, so a convergent of norm ±n/f^2 gives a
-    class (Robertson, "Solving the generalized Pell equation
-    x^2 - Dy^2 = N", 2004, the case N^2 < D). The cost is one period,
-    whatever n is.
-  - nonsquare r and n^2 >= r: the LMM class-by-class search (Robertson,
-    as above): for each factor m = n/f^2 and each square root z0 of r
-    modulo |m| with 0 <= z0 <= |m|/2 (only z0 ≡ r mod 2 when |m| is even),
-    one PQa run stopped at the first Q_i = ±1 gives the fundamental
-    solution of that class, or shows it has none. The root -z0 is not run:
-    its classes are the conjugates (x, -y) of the z0 classes, which
+  - nonsquare r: the LMM class-by-class search (Robertson, "Solving the
+    generalized Pell equation x^2 - Dy^2 = N", 2004): for each factor
+    m = n/f^2 and each square root z0 of r modulo |m| with
+    0 <= z0 <= |m|/2 (only z0 ≡ r mod 2 when |m| is even), one PQa run
+    stopped at the first Q_i = ±1 gives the fundamental solution of that
+    class, or shows it has none. The root -z0 is not run: its classes are
+    the conjugates (x, -y) of the z0 classes, which
     ``solution_class_reps`` pools before it canonicalizes each orbit.
     Primitive solutions satisfy gcd(y, m) = 1, so every class is hit by
     some root; imprimitive solutions are f times a primitive solution of
@@ -62,6 +56,10 @@ def _pqa(P0: int, Q0: int, D: int):
     Requires Q0 != 0, D > 0 nonsquare, P0^2 ≡ D (mod Q0). The classical
     identity G_{i-1}^2 - D*B_{i-1}^2 = (-1)^i * Q_i * Q0 holds for every
     yielded tuple.
+
+    With P0 = 0 and Q0 = 1 this is the continued fraction of sqrt(D): the
+    first Q_i = 1 comes at the end of its first period, before any state
+    repeats, so a walk stopped there needs no cap or message of its own.
     """
     sd = isqrt(D)
     P, Q = P0, Q0
@@ -89,34 +87,17 @@ def _mul(v: Vec, w: Vec, D: int) -> Vec:
     return (v[0] * w[0] + D * v[1] * w[1], v[0] * w[1] + v[1] * w[0])
 
 
-def _period(D: int):
-    """Yield (v, G, B) over one period of the continued fraction of sqrt(D),
-    D > 0 nonsquare: G/B runs over the convergents G_{i-1}/B_{i-1} for
-    i = 1, ..., l and v = G^2 - D*B^2 = (-1)^i * Q_i. This is _pqa(0, 1, D),
-    whose state first returns to Q = 1 at the end of the period, so no
-    state set is kept; the last (G, B) solves x^2 - D*y^2 = (-1)^l."""
-    sd = isqrt(D)
-    P, Q, v = 0, 1, 1
-    gm1, g, bm1, b = 0, 1, 1, 0
-    for _ in range(1, _PQA_CAP):
-        a = (P + sd) // Q
-        gm1, g = g, a * g + gm1
-        bm1, b = b, a * b + bm1
-        P = a * Q - P
-        Q = (D - P * P) // Q
-        v = -v
-        yield v * Q, g, b
-        if Q == 1:
-            return
-    raise RuntimeError("PQa expansion did not cycle within the iteration cap")
-
-
 @lru_cache(maxsize=None)
 def _unit_data(D: int) -> tuple[int, int, Vec | None]:
     """(t, u, neg) with t^2 - D*u^2 = 1 fundamental and neg a fundamental
-    solution of x^2 - D*y^2 = -1, or None when the period is even."""
-    *_, (v, g, b) = _period(D)
-    if v == 1:
+    solution of x^2 - D*y^2 = -1, or None when the period is even.
+
+    Both are read off _pqa(0, 1, D) at its first Q_i = 1, the end of the
+    period of sqrt(D), where G_{i-1}^2 - D*B_{i-1}^2 = (-1)^i."""
+    for i, Q, g, b in _pqa(0, 1, D):
+        if Q == 1:
+            break
+    if i % 2 == 0:
         return g, b, None
     # odd period: (g, b) solves x^2 - D y^2 = -1
     return (*_mul((g, b), (g, b), D), (g, b))
@@ -169,33 +150,6 @@ def _has_root(D: int, p: int, e: int) -> bool:
     if p == 2:
         return k == 1 or u % (4 if k == 2 else 8) == 1
     return pow(u, (p - 1) // 2, p) == 1
-
-
-def _period_reps(D: int, N: int) -> list[Vec]:
-    """Solution representatives of x^2 - D*y^2 = N for D > 0 nonsquare and
-    0 < N^2 < D, at least one per class under the automorph group, negation
-    and conjugation.
-
-    Every class holds a solution with x, y > 0, f times a primitive one of
-    the m-equation, m = N/f^2. As |m| < sqrt(D), Lagrange's theorem makes
-    that primitive x/y a convergent of sqrt(D), and one period of
-    convergents covers every class up to the units. So a convergent (G, B)
-    with G^2 - D*B^2 = N/f^2 gives (f*G, f*B); one with -N/f^2 gives f*(G, B)
-    times the norm -1 unit, which exists only when the period is odd."""
-    _, _, neg = _unit_data(D)
-    reps: list[Vec] = []
-    for v, g, b in _period(D):
-        if N % v:
-            continue
-        q = N // v
-        f = isqrt(abs(q))
-        if f * f != abs(q):
-            continue
-        if q > 0:
-            reps.append((f * g, f * b))
-        elif neg is not None:
-            reps.append(_mul((f * g, f * b), neg, D))
-    return reps
 
 
 def _lmm_reps(D: int, N: int) -> list[Vec]:
@@ -303,10 +257,9 @@ def solution_class_reps(r: int, n: int) -> list[Vec]:
     if is_square(r):
         return _square_solutions(isqrt(r), n)
     t, u, _ = _unit_data(r)
-    reps = _period_reps(r, n) if n * n < r else _lmm_reps(r, n)
     # each representative and its conjugate, canonicalized by orbit
     return sorted({_orbit_canonical(v, r, t, u)
-                   for x, y in reps for v in ((x, y), (x, -y))})
+                   for x, y in _lmm_reps(r, n) for v in ((x, y), (x, -y))})
 
 
 def _orbit_canonical(s: Vec, D: int, t: int, u: int) -> Vec:

@@ -287,7 +287,7 @@ def _reduced_cycle(L: QuarticLattice) -> tuple[list[Vec], list[Vec], Mat]:
     translation, so it is on the cycle; as r >= 9, the M*(1, 0) with
     f = -1 and f = 1 are one class of square -2 and 2 per ±A-orbit.
 
-    The walk runs at most pell._PQA_CAP steps, the bound of pell._period,
+    The walk runs at most pell._PQA_CAP steps, the bound of pell._pqa,
     and past it raises a RuntimeError that names the bound.
     """
     r, sd = L.r, isqrt(L.r)

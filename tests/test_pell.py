@@ -66,6 +66,17 @@ def test_fundamental_solution_small():
     assert t * t - 151 * u * u == 1 and u > 0
     with pytest.raises(ValueError):
         pell.fundamental_solution(25)
+    # the unit and the norm -1 unit that _lmm_reps relies on, against sympy
+    # (no norm -1 unit when the period is even)
+    units = 0
+    for D in range(2, 2001):
+        if pell.is_square(D):
+            continue
+        (t, u), = diop_DN(D, 1)
+        neg = diop_DN(D, -1)
+        assert pell._unit_data(D) == (t, u, neg[0] if neg else None), D
+        units += 1
+    assert units == 1956
 
 
 def test_class_reps_reject_zero_rhs():
@@ -168,7 +179,7 @@ def test_decision_procedure_vs_brute_oracle(r, n):
 @example(753, -299157)
 @example(665, -873425)
 @example(1960, -(2**6) * 7**3 * 29)
-@example(41, 5)  # n^2 < r, odd period: read off the norm -5 convergent times the -1 unit
+@example(41, 5)  # n^2 < r, odd period: sqrt(41) has a norm -1 unit
 @example(67, -8)  # n^2 < r, f = 2: every solution is twice one of x^2 - 67y^2 = -2
 @given(st.integers(1, 300), st.integers(-64, 64))
 def test_decision_procedure_vs_sympy(r, n):
@@ -184,20 +195,52 @@ def test_decision_procedure_vs_sympy(r, n):
 
 
 def test_one_period_gives_the_lmm_classes():
-    """For n^2 < r the classes are read off one period of sqrt(r); they are
-    the LMM search's classes and their conjugates, canonicalized by orbit,
-    for every nonsquare r <= 600 and 0 < |n| < sqrt(r)."""
+    """Lagrange's convergent rule is the oracle for n^2 < r: every primitive
+    solution of x^2 - r*y^2 = m with |m| < sqrt(r) and x, y > 0 is a
+    convergent of sqrt(r), so one period of convergents, walked here in its
+    own loop, gives every class up to the units. A convergent (G, B) of norm
+    n/f^2 gives f*(G, B); one of norm -n/f^2 gives f*(G, B) times the norm
+    -1 unit, the last convergent of an odd period. solution_class_reps gives
+    those classes and their conjugates, canonicalized by orbit, for every
+    nonsquare r <= 600 and 0 < |n| < sqrt(r)."""
     pairs = 0
     for r in range(2, 601):
         if pell.is_square(r):
             continue
-        t, u, _ = pell._unit_data(r)
-        for n in range(-isqrt(r), isqrt(r) + 1):
-            if n == 0 or n * n >= r:
+        a0 = isqrt(r)
+        P, Q, sign = 0, 1, 1
+        gm, g, bm, b = 0, 1, 1, 0
+        period = []  # (G^2 - r*B^2, G, B) for each convergent G/B
+        while True:
+            a = (P + a0) // Q
+            gm, g = g, a * g + gm
+            bm, b = b, a * b + bm
+            P = a * Q - P
+            Q = (r - P * P) // Q
+            sign = -sign
+            period.append((sign * Q, g, b))
+            if Q == 1:
+                break
+        neg = (g, b) if sign == -1 else None
+        unit = (g * g + r * b * b, 2 * g * b) if neg else (g, b)
+        assert unit == pell.fundamental_solution(r), r
+        for n in range(-a0, a0 + 1):
+            if n == 0:
                 continue
-            lmm = sorted({pell._orbit_canonical(v, r, t, u)
-                          for x, y in pell._lmm_reps(r, n) for v in ((x, y), (x, -y))})
-            assert pell.solution_class_reps(r, n) == lmm, (r, n)
+            classes = set()
+            for v, cg, cb in period:
+                q, rest = divmod(n, v)
+                f = isqrt(abs(q))
+                if rest or f * f != abs(q):
+                    continue
+                if q > 0:
+                    x, y = f * cg, f * cb
+                elif neg:
+                    x, y = f * (cg * neg[0] + r * cb * neg[1]), f * (cg * neg[1] + cb * neg[0])
+                else:
+                    continue
+                classes.update(pell._orbit_canonical(w, r, *unit) for w in ((x, y), (x, -y)))
+            assert pell.solution_class_reps(r, n) == sorted(classes), (r, n)
             pairs += 1
     assert pairs == 18448
 
