@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from . import pell
 from . import surface as surf
-from .lattice import Mat, Vec, mat_mul, mat_transpose, reflection_in
+from .lattice import Mat, Vec, mat_mul, mat_transpose
 
 _QUADEQ_HARD_CAP = 1_000_000
 
@@ -34,19 +34,17 @@ def is_isometry(L: surf.QuarticLattice, m: Mat) -> bool:
 def gluing_ok(L: surf.QuarticLattice, m: Mat) -> bool:
     """True iff (m + I) Q^{-1} or (m - I) Q^{-1} has integer entries.
 
-    Q^{-1} = adj(Q)/det(Q), so the test is divisibility of (m ± I)·adj(Q)
-    by det(Q); no rational types needed.
+    Q^{-1} = adj(Q)/det(Q) with adj(Q) = ((2c, -b), (-b, 4)) and
+    det(Q) = -r, so the test is that r divides each entry of
+    n·adj(Q) for n = m ± I: 2c*n11 - b*n12, 4*n12 - b*n11,
+    2c*n21 - b*n22 and 4*n22 - b*n21; no rational types needed.
     """
-    q = L.base
-    det = q.det()
-    adj = ((q.q22, -q.q12), (-q.q12, q.q11))
+    b, c2, r = L.b, 2 * L.c, L.r
+    (m11, m12), (m21, m22) = m
     for sign in (1, -1):
-        shifted = (
-            (m[0][0] + sign, m[0][1]),
-            (m[1][0], m[1][1] + sign),
-        )
-        prod = mat_mul(shifted, adj)
-        if all(prod[i][j] % det == 0 for i in range(2) for j in range(2)):
+        n11, n22 = m11 + sign, m22 + sign
+        if not ((c2 * n11 - b * m12) % r or (4 * m12 - b * n11) % r
+                or (c2 * m21 - b * n22) % r or (4 * n22 - b * m21) % r):
             return True
     return False
 
@@ -132,7 +130,8 @@ def reflection(L: surf.QuarticLattice, A: Vec) -> Mat:
     """Reflection x -> (A.x)A - x along a class with A^2 = 2."""
     if L.dot(A, A) != 2:
         raise ValueError("reflection axis must have self-intersection 2")
-    return reflection_in(L.base, A)
+    k0, k1 = L.dot(surf.H, A), L.dot((0, 1), A)
+    return ((k0 * A[0] - 1, k1 * A[0]), (k0 * A[1], k1 * A[1] - 1))
 
 
 def generators_for(L: surf.QuarticLattice, tag: str, axes: list[Vec]) -> list[Mat]:

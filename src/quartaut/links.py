@@ -151,10 +151,10 @@ def _reversed(rec: LinkRecord) -> LinkRecord:
                       source=rec.target)
 
 
-# (row, Gram of its source frame): every row may open a word; the P3
-# self-links and the return legs of the links to X5 may close one.
-_OPENERS = tuple((rec, frame(rec.source, rec.gd)) for rec in _CATALOG)
-_CLOSERS = tuple((rec, frame(rec.source, rec.gd)) for rec in (
+# (row, Gram of its source frame, link_matrix): every row may open a word;
+# the P3 self-links and the return legs of the links to X5 may close one.
+_OPENERS = tuple((rec, frame(rec.source, rec.gd), link_matrix(rec)) for rec in _CATALOG)
+_CLOSERS = tuple((rec, frame(rec.source, rec.gd), link_matrix(rec)) for rec in (
     *(rec for rec in _CATALOG if rec.target == "P3"),
     *(_reversed(rec) for rec in _CATALOG if rec.target != "P3"),
 ))
@@ -175,16 +175,16 @@ def realize_generator(L: surf.QuarticLattice, target: Mat) -> LinkWord | None:
     eps = -1.
     """
     base = L.base
-    firsts = [(rec, B, conjugate(link_matrix(rec), B))
-              for rec, want in _OPENERS for B in _step_candidates(base, want)]
+    firsts = [(rec, B, conjugate(lm, B))
+              for rec, want, lm in _OPENERS for B in _step_candidates(base, want)]
     for rec, B, m in firsts:
         if rec.target == "P3" and m == target:
             return LinkWord((LinkStep(rec, B),))
     for rec1, B1, m1 in firsts:
         cur = change_basis(base, m1)
-        for rec2, want in _CLOSERS:
+        for rec2, want, lm2 in _CLOSERS:
             for B2 in _step_candidates(cur, want):
-                if mat_mul(m1, conjugate(link_matrix(rec2), B2)) == target:
+                if mat_mul(m1, conjugate(lm2, B2)) == target:
                     return LinkWord((LinkStep(rec1, B1), LinkStep(rec2, B2)))
     return None
 

@@ -34,14 +34,7 @@ from typing import NamedTuple
 
 from . import pell
 from .exclusion import FORBIDDEN_DISCS
-from .lattice import (
-    GramLattice,
-    Mat,
-    Vec,
-    mat_inv_unimodular,
-    mat_vec,
-    pairing,
-)
+from .lattice import GramLattice, Mat, Vec, mat_inv_unimodular, mat_vec
 
 H: Vec = (1, 0)
 
@@ -76,7 +69,9 @@ CURVE_MODELS: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {
 
 
 class QuarticLattice(NamedTuple("QuarticLattice", [("b", int), ("c", int)])):
-    """Picard lattice ZH + ZW with H^2 = 4, H.W = b, W^2 = 2c."""
+    """Picard lattice ZH + ZW with H^2 = 4, H.W = b, W^2 = 2c. dot pairs
+    on the two integers, u.v = 4*u0*v0 + b*(u0*v1 + u1*v0) + 2c*u1*v1;
+    base is the Gram view for link frames and the public lattice API."""
 
     __slots__ = ()
 
@@ -104,7 +99,7 @@ class QuarticLattice(NamedTuple("QuarticLattice", [("b", int), ("c", int)])):
         return GramLattice(4, self.b, 2 * self.c)
 
     def dot(self, u: Vec, v: Vec) -> int:
-        return pairing(self.base, u, v)
+        return 4 * u[0] * v[0] + self.b * (u[0] * v[1] + u[1] * v[0]) + 2 * self.c * u[1] * v[1]
 
 
 def curve_model(r: int) -> tuple[QuarticLattice, tuple[int, int]]:
@@ -347,10 +342,12 @@ def _least_degree_each_side(L: QuarticLattice, starts: list[Vec],
     if A is not None:
         Ai = mat_inv_unimodular(A)
         starts = starts + [mat_vec(Ai, D) for D in starts]
-    cands = [_normalize_effective(L.b, D) for D in starts]
-    sides = ([D for D in cands if D[1] <= 0], [D for D in cands if D[1] > 0])
-    least = (min(side, key=lambda D: (L.dot(H, D), D)) for side in sides if side)
-    return sorted(least, key=lambda D: _pell_key(L, D))
+    b, least = L.b, {}
+    for D in starts:
+        D = _normalize_effective(b, D)
+        key = (4 * D[0] + b * D[1], D)
+        least[D[1] > 0] = min(key, least.get(D[1] > 0, key))
+    return sorted((D for _, D in least.values()), key=lambda D: _pell_key(L, D))
 
 
 def _chamber_walls(L: QuarticLattice) -> list[Vec]:

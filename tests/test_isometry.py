@@ -2,10 +2,10 @@
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quartaut.lattice import IDENTITY, mat_mul, mat_pow, mat_vec
+from quartaut.lattice import IDENTITY, mat_mul, mat_pow, mat_vec, reflection_in
 from quartaut.surface import (
     H, QuarticLattice, automorph, canonical_bc, class_with_square_exists, classify_aut,
     curve_model,
@@ -414,6 +414,76 @@ def test_involution_family_members_are_involutions(params):
         assert m[0][0] + m[1][1] == 0
         assert mat_mul(m, m) == IDENTITY
         assert isometry.is_isometry(L, m)
+
+
+# (b, c) of either parity and sign with r = b^2 - 8c > 0, admissible or
+# not; QuarticLattice refuses only r <= 0 and the forbidden 1, 4, 8
+quartic_lattices = (
+    st.tuples(st.integers(-40, 40), st.integers(-200, 200))
+    .filter(lambda t: t[0] * t[0] - 8 * t[1] > 0 and t[0] * t[0] - 8 * t[1] not in (1, 4, 8))
+    .map(lambda t: QuarticLattice(*t))
+)
+small_mats = st.tuples(*[st.integers(-30, 30)] * 4).map(lambda t: ((t[0], t[1]), (t[2], t[3])))
+
+
+def _product(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
+                 for i in range(2))
+
+
+def _glues_by_definition(L, m):
+    """(m + I) or (m - I) times adj(Q) is entrywise divisible by det Q."""
+    Q = ((4, L.b), (L.b, 2 * L.c))
+    det = Q[0][0] * Q[1][1] - Q[0][1] * Q[1][0]
+    adj = ((Q[1][1], -Q[0][1]), (-Q[1][0], Q[0][0]))
+    for s in (1, -1):
+        prod = _product(((m[0][0] + s, m[0][1]), (m[1][0], m[1][1] + s)), adj)
+        if all(e % det == 0 for row in prod for e in row):
+            return True
+    return False
+
+
+@st.composite
+def lattices_and_matrices(draw):
+    """A lattice with a random matrix, or with m = N*Q - s*I + E, which
+    glues when the perturbation E is zero: then (m + s*I) Q^-1 = N."""
+    L = draw(quartic_lattices)
+    if draw(st.booleans()):
+        return L, draw(small_mats)
+    N, s = draw(small_mats), draw(st.sampled_from((1, -1)))
+    E = draw(st.sampled_from((((0, 0), (0, 0)), ((1, 0), (0, 0)), ((0, 0), (1, 0)))))
+    NQ = _product(N, ((4, L.b), (L.b, 2 * L.c)))
+    return L, tuple(tuple(NQ[i][j] - s * (i == j) + E[i][j] for j in range(2))
+                    for i in range(2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(lattices_and_matrices())
+@example((L17, M17))
+@example((QuarticLattice(3, -1), ((1, 0), (0, 2))))
+def test_gluing_ok_is_its_definition(case):
+    L, m = case
+    assert isometry.gluing_ok(L, m) == _glues_by_definition(L, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quartic_lattices, st.integers(-2, 2), st.sampled_from((1, -1)),
+       st.tuples(st.integers(-20, 20), st.integers(-20, 20)))
+def test_reflection_is_the_gram_reflection_for_every_square_2_class(L, j, sign, v):
+    """Every class of square 2 (the Pell classes moved by the automorph
+    and negated) reflects as lattice.reflection_in on the Gram view; any
+    other class is refused."""
+    classes = surface._classes_of_square(L, 2)
+    T = mat_pow(automorph(L), j) if classes else IDENTITY
+    for D in classes:
+        A = tuple(sign * x for x in mat_vec(T, D))
+        assert L.dot(A, A) == 2
+        assert isometry.reflection(L, A) == reflection_in(L.base, A), (L, A)
+    if L.dot(v, v) == 2:
+        assert isometry.reflection(L, v) == reflection_in(L.base, v)
+    else:
+        with pytest.raises(ValueError, match="self-intersection 2"):
+            isometry.reflection(L, v)
 
 
 @settings(max_examples=1000, deadline=None)

@@ -14,6 +14,7 @@ from quartaut.lattice import (
     pairing,
     reflection_in,
 )
+from quartaut.surface import QuarticLattice
 
 L17 = GramLattice(4, 11, 26)
 L56 = GramLattice(4, 8, 2)
@@ -92,6 +93,20 @@ def test_pairing_symmetric(L, u, v):
 @given(lattices(), vecs)
 def test_self_pairing_even(L, u):
     assert pairing(L, u, u) % 2 == 0
+
+
+# (b, c) of either parity and sign with r = b^2 - 8c > 0, admissible or
+# not; QuarticLattice refuses only r <= 0 and the forbidden 1, 4, 8
+quartic_lattices = (
+    st.tuples(st.integers(-60, 60), st.integers(-500, 450))
+    .filter(lambda t: t[0] * t[0] - 8 * t[1] > 0 and t[0] * t[0] - 8 * t[1] not in (1, 4, 8))
+    .map(lambda t: QuarticLattice(*t))
+)
+
+
+@given(quartic_lattices, vecs, vecs)
+def test_quartic_dot_is_the_pairing_of_its_gram_view(L, u, v):
+    assert L.dot(u, v) == pairing(L.base, u, v)
 
 
 unimodular_like = st.tuples(any_ints, any_ints, any_ints, any_ints).map(

@@ -97,6 +97,31 @@ def test_unknown_export_raises_attribute_error():
         exec("from quartaut import no_such_name", {})
 
 
+def _unused_imports(path: Path) -> list[str]:
+    """Names bound by the module-level imports of path (top level, or in a
+    top-level if or try) that the module never references."""
+    tree = ast.parse(path.read_text())
+    imported, todo = set(), list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.If, ast.Try)):
+            todo += node.body + node.orelse + getattr(node, "finalbody", [])
+            todo += [stmt for handler in getattr(node, "handlers", []) for stmt in handler.body]
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # dead code that every import without cached bytecode compiles again
+    unused = {path.name: names for path in sorted((SRC / "quartaut").glob("*.py"))
+              if (names := _unused_imports(path))}
+    assert unused == {}
+
+
 _REC = LinkRecord((14, 11), "P3", (14, 11), 19, 5, 19)
 
 

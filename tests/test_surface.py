@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from quartaut import exclusion, pell, surface
 from quartaut.isometry import reflection
-from quartaut.lattice import IDENTITY, mat_inv_unimodular, mat_mul, mat_vec
+from quartaut.lattice import IDENTITY, GramLattice, mat_inv_unimodular, mat_mul, mat_vec
 from quartaut.surface import (
     CURVE_MODELS,
     H,
@@ -290,7 +290,7 @@ def test_classify_asks_each_pell_question_once(monkeypatch):
     assert walled == 31
 
 
-def test_classify_reads_the_pell_classes_off_one_period_past_r_64(monkeypatch):
+def test_classify_walks_one_reduced_cycle_past_r_64(monkeypatch):
     """On every canonical model with 64 < r <= 1000, classify_aut reads the
     classes of x^2 - r*y^2 = ±8 off one cycle of reduced forms on nonsquare
     r, a single walk per model, and the LMM search never runs. The 25
@@ -311,6 +311,28 @@ def test_classify_reads_the_pell_classes_off_one_period_past_r_64(monkeypatch):
     assert lmm == []
     assert cycles == [r for r in rs if not pell.is_square(r)]
     assert refused == 25
+
+
+def test_classify_builds_no_gram_lattice(monkeypatch):
+    """On every canonical model with 9 < r <= 1000, classify_aut pairs, glues
+    and reflects on (b, c) alone and constructs no GramLattice; the 25
+    models the conic scan refuses are counted up to the raise."""
+    built, real = [], GramLattice.__new__
+    monkeypatch.setattr(GramLattice, "__new__",
+                        staticmethod(lambda cls, *q: built.append(q) or real(cls, *q)))
+    refused = 0
+    for r in range(10, 1001):
+        if r % 8 not in (0, 1, 4):
+            continue
+        built.clear()
+        try:
+            classify_aut(QuarticLattice.from_disc(r))
+        except RuntimeError:
+            refused += 1
+        assert built == [], (r, built[:3])
+    assert refused == 25
+    GramLattice(4, 1, -2)  # the count is live
+    assert built == [(4, 1, -2)]
 
 
 def test_walls_and_axes_run_no_pell_search_on_nonsquare_r(monkeypatch):
