@@ -95,23 +95,21 @@ def minimal_quadeq_solution(L: surf.QuarticLattice) -> Vec:
     s^2 = r*beta^2 + 4c^2; when s is an integer both roots (b*beta ± s)/(2c)
     are rational, hence integers. h's trace 2*alpha - b*beta/c is ±s/c, so
     the root of positive trace is (b*beta + sgn(c)*s)/(2c), and only it is
-    tried. The class-vector automorph of the fundamental Pell solution
-    (t, u) lies in the same family with beta = 2|c|u, so the scan is
-    complete once |beta| reaches that bound; a hard cap on |beta| (not on
-    the number of candidates tried) guards against misuse. h^-1 shares
-    |beta| and beta > 0 is tried first, so h's orientation depends on the
-    model (a model change may invert the conjugated h); the published curve
-    models have beta > 0.
+    tried. The scan needs no bound of its own: with (t, u) the fundamental
+    Pell solution, |beta| = 2|c|u is a multiple of sigma with s = 2|c|t,
+    and the roots tried at ±beta, alpha = t ± b*u (the Pell automorph and
+    its inverse), sum to 2t > 0, so the scan returns by that |beta|; its
+    one bound is a hard cap on |beta|. h^-1 shares |beta| and beta > 0 is
+    tried first, so h's orientation depends on the model (a model change
+    may invert the conjugated h); the published curve models have beta > 0.
     """
     from math import gcd, isqrt
 
     b, c, r = L.b, L.c, L.r
     if pell.is_square(r):
         raise ValueError("no infinite-order isometry exists for square discriminant")
-    _, u = pell.fundamental_solution(r)
-    bound = min(2 * abs(c) * u, _QUADEQ_HARD_CAP)
     sigma = abs(c) // gcd(c, 2, b)
-    for size in range(sigma, bound + 1, sigma):
+    for size in range(sigma, _QUADEQ_HARD_CAP + 1, sigma):
         for beta in (size, -size):
             s2 = r * beta * beta + 4 * c * c
             s = isqrt(s2)
@@ -120,10 +118,8 @@ def minimal_quadeq_solution(L: surf.QuarticLattice) -> Vec:
             alpha = (b * beta + (s if c > 0 else -s)) // (2 * c)
             if alpha > 0:
                 return (alpha, beta)
-    raise RuntimeError(
-        "no positive conic solution with |beta| <= %d; lattice outside the "
-        "supported range" % bound
-    )
+    raise RuntimeError("no positive conic solution with |beta| <= %d; lattice outside the "
+                       "supported range" % _QUADEQ_HARD_CAP)
 
 
 def reflection(L: surf.QuarticLattice, A: Vec) -> Mat:

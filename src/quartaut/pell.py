@@ -79,7 +79,7 @@ def _pqa(P0: int, Q0: int, D: int):
         seen.add((P, Q))
         gm2, gm1 = gm1, g
         bm2, bm1 = bm1, b
-    raise RuntimeError("PQa expansion did not cycle within the iteration cap")
+    raise RuntimeError("PQa expansion with D = %d did not cycle within cap %d" % (D, _PQA_CAP))
 
 
 def _mul(v: Vec, w: Vec, D: int) -> Vec:

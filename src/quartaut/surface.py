@@ -6,9 +6,9 @@ r = b^2 - 8c. Everything downstream keys off r:
 
 * classes D with D^2 = k correspond to solutions of x^2 - r*y^2 = 4k
   satisfying x ≡ b*y (mod 4), via D = ((x - b*y)/4, y) in the (H, W) basis
-  (class_with_square_exists). For nonsquare r the classes of square -2 and
-  2, which decide walls and axes, are read instead off one cycle of reduced
-  forms of f = 2x^2 + bxy + cy^2 = D^2/2 (_reduced_cycle);
+  (class_with_square_exists). The classes of square -2 and 2, which decide
+  walls and axes, come instead off one cycle of reduced forms of
+  f = 2x^2 + bxy + cy^2 = D^2/2, or in closed form for square r (_classes);
 * effective (-2)-classes cut the positive cone into chambers, and the
   chamber containing H is the ample cone. In rank 2 the projectivized
   positive cone is a hyperbolic line, so that chamber is an interval bounded
@@ -305,12 +305,16 @@ def _reduced_cycle(L: QuarticLattice) -> tuple[list[Vec], list[Vec], Mat]:
 
 
 def _classes(L: QuarticLattice) -> tuple[list[Vec], list[Vec], Mat | None]:
-    """The classes of square -2 and of square 2 that decide walls and axes,
-    and the automorph A between neighbours in their orbits: _reduced_cycle(L)
-    on nonsquare r. On square r every class of square -2, none of square 2
-    (ample_square2_axes) and no A."""
+    """The classes of square -2 and 2 that decide walls and axes, and the
+    automorph A between neighbours in their orbits: _reduced_cycle(L) on
+    nonsquare r. Square r = t^2 has no A, no class of square 2
+    (ample_square2_axes), and classes D of square -2 only for r = 9:
+    (X - ty)(X + ty) = -8 with X = D.H has even factors (they differ by
+    2ty), ±2 and ∓4, so X = ±1 and ty = ±3 with t >= 3 (1 and 4 are
+    forbidden), and y = ±1 with X ≡ b*y (mod 4)."""
     if pell.is_square(L.r):
-        return _classes_of_square(L, -2), [], None
+        return [D for X in (1, -1) for y in (1, -1)
+                if L.r == 9 and (D := _congruent_class(L.b, X, y))], [], None
     return _reduced_cycle(L)
 
 

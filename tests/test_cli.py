@@ -348,8 +348,9 @@ def test_pqa_cap_becomes_a_report_with_exit_3(capsys, monkeypatch, r, n):
     pell._unit_data.cache_clear()
     code, rep = run_json(capsys, "pell", "--r", str(r), "--n", str(n), "--no-timestamp")
     assert code == 3
-    assert rep["results"] == {"error": "PQa expansion did not cycle within the iteration cap",
-                              "layer": "pell._pqa"}
+    assert rep["results"] == {
+        "error": "PQa expansion with D = %d did not cycle within cap 3" % r,
+        "layer": "pell._pqa"}
 
 
 def test_cycle_cap_becomes_a_report_with_exit_3(capsys, monkeypatch):

@@ -126,10 +126,10 @@ def test_minimal_quadeq_matches_unit_step_oracle():
 
 
 def test_conic_scan_stops_at_the_automorph():
-    """The scan's bound |beta| <= 2|c|u, (t, u) the fundamental Pell
-    solution, is where the automorph sits in the infinite-order family:
-    alpha = t - b*u, beta = -2c*u. So on a wall-free lattice the scan ends
-    within that bound, or raises only when the bound lies past the cap."""
+    """|beta| = 2|c|u, (t, u) the fundamental Pell solution, is where the
+    automorph sits in the infinite-order family: alpha = t - b*u,
+    beta = -2c*u. So on a wall-free lattice the scan returns by that
+    |beta|, or raises only when it lies past the cap."""
     found = capped = 0
     for b in range(-8, 9):
         for r in range(9, 401):
@@ -139,7 +139,7 @@ def test_conic_scan_stops_at_the_automorph():
             L = QuarticLattice(b, c)
             t, u = pell.fundamental_solution(r)
             assert automorph(L) == isometry.infinite_order_form(L, t - b * u, -2 * c * u), (b, c)
-            # on walled lattices the scan runs to the cap
+            # on walled lattices 2|c|u often lies past the cap, and the scan runs to it
             if class_with_square_exists(L, -2) is not None:
                 continue
             try:
@@ -307,9 +307,10 @@ def test_closed_form_conic_solution_is_the_scans_answer():
     """Over the nonsquare models with b in [-8, 8], -130 <= c <= 1 and
     r <= 1000, the closed form equals minimal_quadeq_solution wherever its
     |beta| lies within the scan's cap, and past the cap it is still an
-    integral determinant-one isometry whose scan bound 2|c|u lies past the
-    cap too. On the canonical models the scan refuses, some h^k with
-    k <= 3 glues and, with no (-2)-class, sends H to an ample class."""
+    integral determinant-one isometry whose 2|c|u, the |beta| the scan
+    returns by, lies past the cap too. On the canonical models the scan
+    refuses, some h^k with k <= 3 glues and, with no (-2)-class, sends H to
+    an ample class."""
     models = [QuarticLattice(b, c) for b in range(-8, 9) for c in range(-130, 2)
               if 9 <= b * b - 8 * c <= 1000 and not pell.is_square(b * b - 8 * c)]
     same = past = 0

@@ -267,12 +267,12 @@ def test_classify_aut_returns_the_witnesses_that_decide_its_tag():
             assert kind.generators == tuple(reflection(L, A) for A in kind.axes), r
 
 
-def test_classify_asks_each_pell_question_once(monkeypatch):
+def test_classify_asks_pell_no_class_question(monkeypatch):
     """One classify_aut on every canonical model with 9 <= r <= 260 asks
-    pell.solution_class_reps at most once per (r, n): only square r asks,
-    and only (r, -8), whose classes give both the obstruction and the
-    chamber walls. Square r has no class of square 2, so (r, 8) is never
-    asked."""
+    pell.solution_class_reps nothing, square r included: nonsquare r reads
+    its classes of square -2 off the cycle of reduced forms, square r in
+    closed form. Those classes give both the obstruction and the chamber
+    walls of the 31 models that the Pell dictionary finds walled."""
     asked, real = [], pell.solution_class_reps
     monkeypatch.setattr(pell, "solution_class_reps",
                         lambda D, n: asked.append((D, n)) or real(D, n))
@@ -283,11 +283,33 @@ def test_classify_asks_each_pell_question_once(monkeypatch):
         L = QuarticLattice(*canonical_bc(r))
         asked.clear()
         kind = classify_aut(L)
-        assert asked == ([(r, -8)] if pell.is_square(r) else []), (r, asked)
+        assert asked == [], (r, asked)
         if class_with_square_exists(L, -2) is not None:
             walled += 1
             assert surface._chamber_walls(L) and kind.obstruction is not None, r
     assert walled == 31
+
+
+def test_square_r_neg2_classes_are_the_pell_classes():
+    """On every square model r = t^2 with 3 <= t < 200 and |b| <= 12, the
+    closed form of surface._classes gives, as a set, the classes of square
+    -2 read off pell.solution_class_reps(t^2, -8) with x ≡ b*y (mod 4):
+    those of r = 9 and none elsewhere."""
+    models = nonempty = 0
+    for t in range(3, 200):
+        reps = pell.solution_class_reps(t * t, -8)
+        for b in range(-12, 13):
+            if (b * b - t * t) % 8:
+                continue
+            L = QuarticLattice(b, (b * b - t * t) // 8)
+            want = {((x - b * y) // 4, y) for x, y in reps if (x - b * y) % 4 == 0}
+            neg2, pos2, A = surface._classes(L)
+            assert set(neg2) == want and len(neg2) == len(want), (b, t)
+            assert pos2 == [] and A is None, (b, t)
+            models += 1
+            nonempty += bool(want)
+    assert models == 1825
+    assert nonempty == 12  # the models of r = 9, every odd |b| <= 11
 
 
 def test_classify_walks_one_reduced_cycle_past_r_64(monkeypatch):
@@ -335,34 +357,47 @@ def test_classify_builds_no_gram_lattice(monkeypatch):
     assert built == [(4, 1, -2)]
 
 
-def test_walls_and_axes_run_no_pell_search_on_nonsquare_r(monkeypatch):
-    """On every canonical nonsquare model with 9 <= r <= 1000, classify_aut,
-    _chamber_walls, ample_square2_axes and minimal_gluing_exponent read the
-    classes of square -2 and 2 off the cycle of reduced forms: none of them
-    calls pell.solution_class_reps. The models the conic scan refuses (25
-    in classify_aut; 40 in minimal_gluing_exponent, which also scans the
+def test_classification_runs_no_pell_solver_on_any_r(monkeypatch):
+    """On every canonical model with 9 <= r <= 1000, square and nonsquare,
+    and on the 8 curve models, classify_aut, _chamber_walls,
+    ample_square2_axes and minimal_gluing_exponent run nothing of the Pell
+    solver: neither its class search (pell.solution_class_reps) nor its
+    unit (pell.fundamental_solution, pell._unit_data). Nonsquare r reads
+    the classes of square -2 and 2 off the cycle of reduced forms, square r
+    in closed form, and the conic scan needs no unit bound. Square r has no
+    infinite-order isometry, so minimal_gluing_exponent refuses its 29
+    models with a ValueError. The models the conic scan refuses (25 in
+    classify_aut; 40 in minimal_gluing_exponent, which also scans the
     Z2starZ2 models) read their walls before the scan."""
     from quartaut import isometry
 
-    def must_not_run(D, n):
-        raise AssertionError("solution_class_reps(%d, %d) was asked" % (D, n))
+    def must_not_run(name):
+        def run(*args):
+            raise AssertionError("pell.%s%r was asked" % (name, args))
+        return run
 
-    monkeypatch.setattr(pell, "solution_class_reps", must_not_run)
+    for name in ("solution_class_reps", "fundamental_solution", "_unit_data"):
+        monkeypatch.setattr(pell, name, must_not_run(name))
+    models = [QuarticLattice.from_disc(r) for r in range(9, 1001) if r % 8 in (0, 1, 4)]
+    models += [curve_model(r)[0] for r in CURVE_MODELS]
     layers = (classify_aut, isometry.minimal_gluing_exponent)
     refused = dict.fromkeys(layers, 0)
-    for r in range(9, 1001):
-        if r % 8 not in (0, 1, 4) or pell.is_square(r):
-            continue
-        L = QuarticLattice.from_disc(r)
+    square = 0
+    for L in models:
         surface._chamber_walls(L)
         ample_square2_axes(L)
         for layer in layers:
             try:
                 layer(L)
+            except ValueError as e:
+                assert layer is not classify_aut and pell.is_square(L.r), (L, e)
+                assert "square discriminant" in str(e), (L, e)
+                square += 1
             except RuntimeError as e:
                 walls = "(-2)-walls" in str(e) and layer is not classify_aut
-                assert walls or "|beta| <= 1000000" in str(e), (r, e)
+                assert walls or "|beta| <= 1000000" in str(e), (L, e)
                 refused[layer] += not walls
+    assert square == 29
     assert tuple(refused.values()) == (25, 40)
 
 
