@@ -30,6 +30,13 @@ Two routes are deliberately kept apart:
   independent enumeration; it must stay naive, and it tests 2*bound + 1
   values of y.
 
+``_pqa`` is the package's one continued-fraction walker. It walks the
+bounded state (P, Q) alone, at most ``_PQA_CAP`` steps, and returns the
+partial quotients and the Q's. Its callers replay the part that grows,
+the convergents here (``_convergent``) and the transform matrix of the
+cycle of reduced forms in ``surface``, once the walk has stopped. Nothing
+grows during the walk, so a refusal at the cap costs time linear in it.
+
 All arithmetic is exact; no floats anywhere.
 """
 from __future__ import annotations
@@ -50,36 +57,52 @@ def is_square(r: int) -> bool:
     return t * t == r
 
 
-def _pqa(P0: int, Q0: int, D: int):
-    """Yield (i, Q_i, G_{i-1}, B_{i-1}) for i = 1, 2, ... until the state cycles.
+def _pqa(P0: int, Q0: int, D: int) -> tuple[list[int], list[int]]:
+    """The partial quotients a_1..a_n and the Q_1..Q_n of the continued
+    fraction of (P0 + sqrt(D))/Q0, walked on the bounded state (P, Q) alone
+    and stopped at the first Q_n = ±1 or when the state first repeats.
 
-    Requires Q0 != 0, D > 0 nonsquare, P0^2 ≡ D (mod Q0). The classical
-    identity G_{i-1}^2 - D*B_{i-1}^2 = (-1)^i * Q_i * Q0 holds for every
-    yielded tuple.
+    Requires Q0 != 0, D > 0 nonsquare, P0^2 ≡ D (mod Q0). Step i takes
+    a_i = floor((P + sqrt(D))/Q), P -> a_i*Q - P and Q -> (D - P^2)/Q; the
+    growing part, the convergents (_convergent) or a transform matrix, is
+    the caller's to replay once the walk has stopped. A state is reduced
+    when 0 < Q <= P + floor(sqrt(D)) and floor(sqrt(D)) - Q < P <=
+    floor(sqrt(D)); the expansion is purely periodic from its first reduced
+    state on (Galois), so the first repeat is the return of that state.
 
     With P0 = 0 and Q0 = 1 this is the continued fraction of sqrt(D): the
-    first Q_i = 1 comes at the end of its first period, before any state
-    repeats, so a walk stopped there needs no cap or message of its own.
+    first Q_n = 1 ends its first period, before any state repeats. The
+    walk takes at most _PQA_CAP steps and past them raises a RuntimeError
+    that names D and the cap; every continued-fraction walk in the package
+    is this one.
     """
     sd = isqrt(D)
     P, Q = P0, Q0
-    gm2, gm1 = -P0, Q0
-    bm2, bm1 = 1, 0
-    seen = {(P, Q)}
-    for i in range(1, _PQA_CAP):
+    P1 = Q1 = None  # the first reduced state
+    quotients: list[int] = []
+    qs: list[int] = []
+    for _ in range(_PQA_CAP):
+        if P1 is None and 0 < Q <= P + sd and sd - Q < P <= sd:
+            P1, Q1 = P, Q
         # a = floor((P + sqrt(D))/Q), exact since sqrt(D) is irrational
         a = (P + sd) // Q if Q > 0 else (-P - sd - 1) // (-Q)
-        g = a * gm1 + gm2
-        b = a * bm1 + bm2
         P = a * Q - P
         Q = (D - P * P) // Q
-        yield i, Q, g, b
-        if (P, Q) in seen:
-            return
-        seen.add((P, Q))
-        gm2, gm1 = gm1, g
-        bm2, bm1 = bm1, b
+        quotients.append(a)
+        qs.append(Q)
+        if Q == 1 or Q == -1 or (Q == Q1 and P == P1):
+            return quotients, qs
     raise RuntimeError("PQa expansion with D = %d did not cycle within cap %d" % (D, _PQA_CAP))
+
+
+def _convergent(P0: int, Q0: int, quotients: list[int]) -> Vec:
+    """(G_{n-1}, B_{n-1}) after the n quotients of _pqa(P0, Q0, D), with
+    G_{n-1}^2 - D*B_{n-1}^2 = (-1)^n * Q_n * Q0 (Robertson's PQa identity)."""
+    g0, g, b0, b = -P0, Q0, 1, 0
+    for a in quotients:
+        g0, g = g, a * g + g0
+        b0, b = b, a * b + b0
+    return g, b
 
 
 def _mul(v: Vec, w: Vec, D: int) -> Vec:
@@ -92,12 +115,12 @@ def _unit_data(D: int) -> tuple[int, int, Vec | None]:
     """(t, u, neg) with t^2 - D*u^2 = 1 fundamental and neg a fundamental
     solution of x^2 - D*y^2 = -1, or None when the period is even.
 
-    Both are read off _pqa(0, 1, D) at its first Q_i = 1, the end of the
-    period of sqrt(D), where G_{i-1}^2 - D*B_{i-1}^2 = (-1)^i."""
-    for i, Q, g, b in _pqa(0, 1, D):
-        if Q == 1:
-            break
-    if i % 2 == 0:
+    Both are read off the convergent at the end of _pqa(0, 1, D), the n
+    quotients of one period of sqrt(D), where Q_n = 1 and
+    G_{n-1}^2 - D*B_{n-1}^2 = (-1)^n."""
+    quotients, _ = _pqa(0, 1, D)
+    g, b = _convergent(0, 1, quotients)
+    if len(quotients) % 2 == 0:
         return g, b, None
     # odd period: (g, b) solves x^2 - D y^2 = -1
     return (*_mul((g, b), (g, b), D), (g, b))
@@ -165,9 +188,10 @@ def _lmm_reps(D: int, N: int) -> list[Vec]:
     The square roots z of D modulo |m| come in ± pairs, and PQa runs on z0
     only, for 0 <= z0 <= |m|/2 with step 2 from D mod 2 when |m| is even
     (z^2 ≡ D mod 2 forces z ≡ D mod 2); the classes of -z0 are the
-    conjugates of those of z0. Each run yields at most its first hit: later
-    Q_i = ±1 in the same run give the same class times a unit. A hit of the
-    wrong sign gives a solution only through a solution of x^2 - D*y^2 = -1."""
+    conjugates of those of z0. Each run stops at its first hit: a later
+    Q_i = ±1 in the same run would give the same class times a unit. A hit
+    of the wrong sign gives a solution only through a solution of
+    x^2 - D*y^2 = -1."""
     _, _, neg = _unit_data(D)
     reps: list[Vec] = []
     fs = [1]
@@ -181,15 +205,16 @@ def _lmm_reps(D: int, N: int) -> list[Vec]:
         for z0 in range(D % step, am // 2 + 1, step):
             if (z0 * z0 - D) % am:
                 continue
-            for i, Q, g, b in _pqa(z0, am, D):
-                if Q not in (1, -1):
-                    continue
-                s = (f * g, f * b)
-                if (Q * am if i % 2 == 0 else -Q * am) == m:
-                    reps.append(s)
-                elif neg is not None:
-                    reps.append(_mul(s, neg, D))
-                break
+            quotients, qs = _pqa(z0, am, D)
+            Q = qs[-1]
+            if Q != 1 and Q != -1:
+                continue
+            g, b = _convergent(z0, am, quotients)
+            s = (f * g, f * b)
+            if (Q * am if len(quotients) % 2 == 0 else -Q * am) == m:
+                reps.append(s)
+            elif neg is not None:
+                reps.append(_mul(s, neg, D))
     return reps
 
 

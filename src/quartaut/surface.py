@@ -282,26 +282,32 @@ def _reduced_cycle(L: QuarticLattice) -> tuple[list[Vec], list[Vec], Mat]:
     translation, so it is on the cycle; as r >= 9, the M*(1, 0) with
     f = -1 and f = 1 are one class of square -2 and 2 per ±A-orbit.
 
-    The walk runs at most pell._PQA_CAP steps, the bound of pell._pqa,
-    and past it raises a RuntimeError that names the bound.
+    In PQa terms the form [a, b, c] before a step is the state
+    (P, Q) = (b, 2|c|) of pell._pqa(b0, (r - b0^2)/4, r), and c alternates
+    in sign from c0 < 0: step i has s_i = (-1)^i*a_i and gives the leading
+    coefficient (-1)^i*Q_{i-1}/2. So a class is read wherever Q_{i-1} = 2,
+    and the quotients of one period are replayed twice when the period is
+    odd, since only then does the sign of c come back. Q = 2|c| is even,
+    never ±1, so _pqa walks one full period; it holds the cap
+    pell._PQA_CAP and its refusal, and this replay takes no step of its own.
     """
     r, sd = L.r, isqrt(L.r)
     b0 = sd - (sd - L.b) % 4
     k = (b0 - L.b) // 4
-    a, b, c = 2, b0, (b0 * b0 - r) // 8
+    Q = (r - b0 * b0) // 4
+    quotients, qs = pell._pqa(b0, Q, r)
+    if len(quotients) % 2:
+        quotients, qs = quotients * 2, qs * 2
     (m11, m12), (m21, m22) = (1, k), (0, 1)
     found: dict[int, list[Vec]] = {-1: [], 1: []}
-    for _ in range(pell._PQA_CAP):
-        nb = sd - (sd + b) % (2 * abs(c))
-        s = (b + nb) // (2 * c)
-        a, b, c = c, nb, (nb * nb - r) // (4 * c)
+    sign = -1
+    for a, Qi in zip(quotients, qs):
+        s = sign * a
         m11, m12, m21, m22 = m12, s * m12 - m11, m22, s * m22 - m21
-        if a == 2 and b == b0:
-            return found[-1], found[1], ((m11, m12 - k * m11), (m21, m22 - k * m21))
-        if a == 1 or a == -1:
-            found[a].append((m11, m21))
-    raise RuntimeError("the cycle of reduced forms of 2x^2 + bxy + cy^2 with r = %d "
-                       "did not close within %d steps" % (r, pell._PQA_CAP))
+        if Q == 2:
+            found[sign].append((m11, m21))
+        Q, sign = Qi, -sign
+    return found[-1], found[1], ((m11, m12 - k * m11), (m21, m22 - k * m21))
 
 
 def _classes(L: QuarticLattice) -> tuple[list[Vec], list[Vec], Mat | None]:

@@ -342,26 +342,18 @@ def test_verify_paper_text_prints_the_first_counterexample(capsys, monkeypatch):
 @pytest.mark.parametrize("r, n", [
     (17, 8),  # sqrt(17) has period 1, so the cap is reached in the LMM search's PQa run
     (94, 7),  # sqrt(94) has period 16, so the cap stops the unit walk first
+    # the cycle of reduced forms of 2x^2 + xy - 5y^2 (r = 41) has PQa period 5
+    pytest.param(41, None, id="classify-41"),
 ])
 def test_pqa_cap_becomes_a_report_with_exit_3(capsys, monkeypatch, r, n):
     monkeypatch.setattr(pell, "_PQA_CAP", 3)
     pell._unit_data.cache_clear()
-    code, rep = run_json(capsys, "pell", "--r", str(r), "--n", str(n), "--no-timestamp")
+    argv = ("classify", "--r", str(r)) if n is None else ("pell", "--r", str(r), "--n", str(n))
+    code, rep = run_json(capsys, *argv, "--no-timestamp")
     assert code == 3
     assert rep["results"] == {
         "error": "PQa expansion with D = %d did not cycle within cap 3" % r,
         "layer": "pell._pqa"}
-
-
-def test_cycle_cap_becomes_a_report_with_exit_3(capsys, monkeypatch):
-    # the cycle of reduced forms of 2x^2 + xy - 5y^2 (r = 41) is longer than 3
-    monkeypatch.setattr(pell, "_PQA_CAP", 3)
-    code, rep = run_json(capsys, "classify", "--r", "41", "--no-timestamp")
-    assert code == 3
-    assert rep["results"] == {
-        "error": ("the cycle of reduced forms of 2x^2 + bxy + cy^2 with r = 41 "
-                  "did not close within 3 steps"),
-        "layer": "surface._reduced_cycle"}
 
 
 def test_search_bound_becomes_a_report_with_exit_3(capsys):

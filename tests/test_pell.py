@@ -284,3 +284,56 @@ def test_large_unit_discriminants_still_decide():
     x, y = pell.solve(151, 2)
     assert x * x - 151 * y * y == 2
     assert not pell.has_solution(151, 3)
+
+
+def test_walk_stops_where_a_seen_set_walk_stops():
+    """_pqa stops at the first Q_n = ±1 or when its first reduced state comes
+    back. A walk that keeps every state it has seen, written here with its
+    own floor rule, stops at the first Q_n = ±1 or at the first repeat. The
+    two agree, quotient for quotient, on every start (z0, |m|) with
+    z0^2 ≡ D (mod |m|), 0 <= z0 < |m| <= 100 and nonsquare D <= 300."""
+    starts = 0
+    for D in range(2, 301):
+        if pell.is_square(D):
+            continue
+        sd = isqrt(D)
+        for m in range(1, 101):
+            for z0 in range(m):
+                if (z0 * z0 - D) % m:
+                    continue
+                P, Q, seen, quotients, qs = z0, m, {(z0, m)}, [], []
+                while True:
+                    a = (P + sd) // Q if Q > 0 else -((P + sd) // -Q) - 1
+                    P = a * Q - P
+                    Q = (D - P * P) // Q
+                    quotients.append(a)
+                    qs.append(Q)
+                    if abs(Q) == 1 or (P, Q) in seen:
+                        break
+                    seen.add((P, Q))
+                assert pell._pqa(z0, m, D) == (quotients, qs), (D, m, z0)
+                starts += 1
+    assert starts == 24823
+
+
+def test_the_cap_bounds_the_walk_to_the_step(monkeypatch):
+    """_pqa takes at most _PQA_CAP steps, and a walk whose stop falls on the
+    last of them answers. sqrt(94) has period 16. The cycle of reduced forms
+    of 2x^2 + xy - 5y^2 (r = 41) has PQa period 5: _pqa walks it once, and
+    _reduced_cycle replays its quotients twice, as the period is odd."""
+    from quartaut import surface
+
+    L = surface.QuarticLattice(1, -5)
+    for D, call, want, period in (
+            (94, lambda: pell.fundamental_solution(94), (2143295, 221064), 16),
+            (41, lambda: surface.classify_aut(L), surface.classify_aut(L), 5)):
+        monkeypatch.setattr(pell, "_PQA_CAP", period)
+        pell._unit_data.cache_clear()
+        assert call() == want, D
+        monkeypatch.setattr(pell, "_PQA_CAP", period - 1)
+        pell._unit_data.cache_clear()
+        with pytest.raises(RuntimeError) as err:
+            call()
+        assert str(err.value) == ("PQa expansion with D = %d did not cycle within cap %d"
+                                  % (D, period - 1))
+    pell._unit_data.cache_clear()
