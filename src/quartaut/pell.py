@@ -32,10 +32,11 @@ Two routes are deliberately kept apart:
 
 ``_pqa`` is the package's one continued-fraction walker. It walks the
 bounded state (P, Q) alone, at most ``_PQA_CAP`` steps, and returns the
-partial quotients and the Q's. Its callers replay the part that grows,
+partial quotients and the last Q. Its callers replay the part that grows,
 the convergents here (``_convergent``) and the transform matrix of the
-cycle of reduced forms in ``surface``, once the walk has stopped. Nothing
-grows during the walk, so a refusal at the cap costs time linear in it.
+cycle of reduced forms in ``surface``, once the walk has stopped. Only the
+list of quotients grows during the walk, so a refusal at the cap costs
+time linear in it and about one pointer per step.
 
 All arithmetic is exact; no floats anywhere.
 """
@@ -57,8 +58,8 @@ def is_square(r: int) -> bool:
     return t * t == r
 
 
-def _pqa(P0: int, Q0: int, D: int) -> tuple[list[int], list[int]]:
-    """The partial quotients a_1..a_n and the Q_1..Q_n of the continued
+def _pqa(P0: int, Q0: int, D: int) -> tuple[list[int], int]:
+    """The partial quotients a_1..a_n and the last Q_n of the continued
     fraction of (P0 + sqrt(D))/Q0, walked on the bounded state (P, Q) alone
     and stopped at the first Q_n = ±1 or when the state first repeats.
 
@@ -80,7 +81,6 @@ def _pqa(P0: int, Q0: int, D: int) -> tuple[list[int], list[int]]:
     P, Q = P0, Q0
     P1 = Q1 = None  # the first reduced state
     quotients: list[int] = []
-    qs: list[int] = []
     for _ in range(_PQA_CAP):
         if P1 is None and 0 < Q <= P + sd and sd - Q < P <= sd:
             P1, Q1 = P, Q
@@ -89,9 +89,8 @@ def _pqa(P0: int, Q0: int, D: int) -> tuple[list[int], list[int]]:
         P = a * Q - P
         Q = (D - P * P) // Q
         quotients.append(a)
-        qs.append(Q)
         if Q == 1 or Q == -1 or (Q == Q1 and P == P1):
-            return quotients, qs
+            return quotients, Q
     raise RuntimeError("PQa expansion with D = %d did not cycle within cap %d" % (D, _PQA_CAP))
 
 
@@ -205,8 +204,7 @@ def _lmm_reps(D: int, N: int) -> list[Vec]:
         for z0 in range(D % step, am // 2 + 1, step):
             if (z0 * z0 - D) % am:
                 continue
-            quotients, qs = _pqa(z0, am, D)
-            Q = qs[-1]
+            quotients, Q = _pqa(z0, am, D)
             if Q != 1 and Q != -1:
                 continue
             g, b = _convergent(z0, am, quotients)

@@ -285,28 +285,30 @@ def _reduced_cycle(L: QuarticLattice) -> tuple[list[Vec], list[Vec], Mat]:
     In PQa terms the form [a, b, c] before a step is the state
     (P, Q) = (b, 2|c|) of pell._pqa(b0, (r - b0^2)/4, r), and c alternates
     in sign from c0 < 0: step i has s_i = (-1)^i*a_i and gives the leading
-    coefficient (-1)^i*Q_{i-1}/2. So a class is read wherever Q_{i-1} = 2,
-    and the quotients of one period are replayed twice when the period is
-    odd, since only then does the sign of c come back. Q = 2|c| is even,
-    never ±1, so _pqa walks one full period; it holds the cap
-    pell._PQA_CAP and its refusal, and this replay takes no step of its own.
+    coefficient (-1)^i*Q_{i-1}/2, a class exactly when Q_{i-1} = 2, that is
+    when 2*a_i > sd = floor(sqrt(r)). Every state (P, Q) on the cycle is
+    reduced, so sd - Q < P <= sd with Q even: Q = 2 gives a >= sd - 1 > sd/2
+    (sd >= 3 for nonsquare r >= 12), and Q >= 4 gives 2*a < sd + 1/2. The
+    quotients of one period are replayed twice when the period is odd,
+    since only then does the sign of c come back. Q = 2|c| is never ±1, so
+    _pqa walks one full period; it holds the cap pell._PQA_CAP and its
+    refusal, and this replay takes no step of its own.
     """
     r, sd = L.r, isqrt(L.r)
     b0 = sd - (sd - L.b) % 4
     k = (b0 - L.b) // 4
-    Q = (r - b0 * b0) // 4
-    quotients, qs = pell._pqa(b0, Q, r)
+    quotients, _ = pell._pqa(b0, (r - b0 * b0) // 4, r)
     if len(quotients) % 2:
-        quotients, qs = quotients * 2, qs * 2
+        quotients *= 2
     (m11, m12), (m21, m22) = (1, k), (0, 1)
     found: dict[int, list[Vec]] = {-1: [], 1: []}
     sign = -1
-    for a, Qi in zip(quotients, qs):
+    for a in quotients:
         s = sign * a
         m11, m12, m21, m22 = m12, s * m12 - m11, m22, s * m22 - m21
-        if Q == 2:
+        if 2 * a > sd:
             found[sign].append((m11, m21))
-        Q, sign = Qi, -sign
+        sign = -sign
     return found[-1], found[1], ((m11, m12 - k * m11), (m21, m22 - k * m21))
 
 

@@ -290,8 +290,9 @@ def test_walk_stops_where_a_seen_set_walk_stops():
     """_pqa stops at the first Q_n = ±1 or when its first reduced state comes
     back. A walk that keeps every state it has seen, written here with its
     own floor rule, stops at the first Q_n = ±1 or at the first repeat. The
-    two agree, quotient for quotient, on every start (z0, |m|) with
-    z0^2 ≡ D (mod |m|), 0 <= z0 < |m| <= 100 and nonsquare D <= 300."""
+    two agree, quotient for quotient and on the last Q, on every start
+    (z0, |m|) with z0^2 ≡ D (mod |m|), 0 <= z0 < |m| <= 100 and nonsquare
+    D <= 300."""
     starts = 0
     for D in range(2, 301):
         if pell.is_square(D):
@@ -311,9 +312,28 @@ def test_walk_stops_where_a_seen_set_walk_stops():
                     if abs(Q) == 1 or (P, Q) in seen:
                         break
                     seen.add((P, Q))
-                assert pell._pqa(z0, m, D) == (quotients, qs), (D, m, z0)
+                assert pell._pqa(z0, m, D) == (quotients, qs[-1]), (D, m, z0)
                 starts += 1
     assert starts == 24823
+
+
+def test_a_refused_walk_holds_only_its_quotients(monkeypatch):
+    """A walk refused at the cap keeps one list, of quotients, mostly small
+    cached ints: with _PQA_CAP = 10^5, the walk of sqrt(99999999999999999),
+    whose period is past 10^6, peaks at 16 B per step or less under
+    tracemalloc. A list of the Q's, ints near 2*sqrt(D) past the small-int
+    cache, would add about 40 B per step."""
+    import tracemalloc
+
+    monkeypatch.setattr(pell, "_PQA_CAP", 10 ** 5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="within cap 100000"):
+            pell._pqa(0, 1, 99999999999999999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 10 ** 5, peak / 10 ** 5
 
 
 def test_the_cap_bounds_the_walk_to_the_step(monkeypatch):

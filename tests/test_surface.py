@@ -482,6 +482,35 @@ def test_reduced_cycle_against_the_pell_classes():
     assert (models, powers, boxed) == (8869, 2077, 484)
 
 
+def test_a_class_step_is_one_whose_quotient_passes_half_the_root():
+    """_reduced_cycle reads a class of square ±2 at the steps with
+    2*a > floor(sqrt(r)), which must be the steps from a state with Q = 2.
+    On every start (b0, (r - b0^2)/4) of its cycle for nonsquare
+    12 <= r <= 5000, walked one period here with the test's own (P, Q) step,
+    every state is reduced and the two rules pick the same steps."""
+    starts = steps = classes = 0
+    for r in range(12, 5001):
+        sd = isqrt(r)
+        if sd * sd == r:
+            continue
+        for b0 in range(sd - 3, sd + 1):
+            if (r - b0 * b0) % 8:
+                continue
+            P, Q = start = b0, (r - b0 * b0) // 4
+            while True:
+                assert 0 < Q <= P + sd and sd - Q < P <= sd, (r, b0, P, Q)
+                a = (P + sd) // Q
+                assert (2 * a > sd) == (Q == 2), (r, b0, P, Q)
+                classes += Q == 2
+                P = a * Q - P
+                Q = (r - P * P) // Q
+                steps += 1
+                if (P, Q) == start:
+                    break
+            starts += 1
+    assert (starts, steps, classes) == (2394, 48321, 929)
+
+
 def test_hyperplane_is_ample():
     for r in ALL_R:
         L = QuarticLattice(*canonical_bc(r))
