@@ -2,12 +2,14 @@
 
 Each command computes its results and exit code; main builds every report
 in one place (command, inputs, results, assumptions, paper_refs) and
-renders it as text or, with --json, as JSON. One table, _COMMANDS, gives
-each command's help, handler, options, assumptions and paper_refs; the
-parser and the reports are both built from it. The inputs echo every
-option given. Reports are deterministic; the timestamp and the results'
-duration_s are omitted with --no-timestamp so identical inputs give
-byte-identical output.
+renders it as text or, with --json, as JSON. Handlers return the layers'
+values as they come (tuples, NamedTuples such as the model (b, c), None),
+and both renderers write a tuple as the array of its items. One table,
+_COMMANDS, gives each command's help, handler, options, assumptions and
+paper_refs; the parser and the reports are both built from it. The inputs
+echo every option given. Reports are deterministic; the timestamp and the
+results' duration_s are omitted with --no-timestamp so identical inputs
+give byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid or out-of-scope
 input, 3 search exhausted. A ValueError or RuntimeError from a math layer
@@ -33,16 +35,12 @@ EXIT_BAD_INPUT = 2
 EXIT_SEARCH_EXHAUSTED = 3
 
 
-def _mat(m) -> list[list[int]]:
-    return [list(m[0]), list(m[1])]
-
-
 def _render_lines(obj: dict, prefix: str) -> None:
     for k, v in obj.items():
         if isinstance(v, dict):
             print(f"{prefix}{k}:")
             _render_lines(v, prefix + "  ")
-        elif isinstance(v, list) and v and all(isinstance(x, dict) for x in v):
+        elif isinstance(v, (list, tuple)) and v and all(isinstance(x, dict) for x in v):
             print(f"{prefix}{k}:")
             for i, x in enumerate(v):
                 print(f"{prefix}  [{i}]")
@@ -100,11 +98,11 @@ def _resolve_model(args):
         except ValueError as e:
             return None, {"error": str(e)}
     if r in surf.FORBIDDEN_DISCS:
-        E, (sq, deg) = surf.forbidden_small_disc(b, c)
+        E, pairing = surf.forbidden_small_disc(b, c)
         return None, {
             "error": f"discriminant {r} is incompatible with a very ample "
                      "degree-4 class",
-            "witness": {"class": list(E), "pairing": [sq, deg]},
+            "witness": {"class": E, "pairing": pairing},
         }
     return surf.QuarticLattice(b, c), None
 
@@ -116,22 +114,15 @@ def cmd_classify(args) -> tuple[dict, int]:
     if L is None:
         return err, EXIT_BAD_INPUT
     kind = surf.classify_aut(L)
+    curve = surf.CURVE_MODELS.get(L.r)
     results = {
         "r": L.r,
-        "model": [L.b, L.c],
+        "model": L,
         "tag": kind.tag,
-        "generators": [_mat(g) for g in kind.generators],
-        "witnesses": {
-            "obstruction": list(kind.obstruction) if kind.obstruction else None,
-            "ample_square2_axes": [list(a) for a in kind.axes],
-        },
+        "generators": kind.generators,
+        "witnesses": {"obstruction": kind.obstruction, "ample_square2_axes": kind.axes},
+        "curve": curve and {"gd": curve[1], "class": surf.find_curve_class(L, curve[1])},
     }
-    if L.r in surf.CURVE_MODELS:
-        gd = surf.CURVE_MODELS[L.r][1]
-        C = surf.find_curve_class(L, gd)
-        results["curve"] = {"gd": list(gd), "class": list(C) if C else None}
-    else:
-        results["curve"] = None
     return _with_caveat(results, EXIT_OK)
 
 
@@ -165,14 +156,14 @@ def cmd_pell(args) -> tuple[dict, int]:
     results = {
         "equation": f"x^2 - {r} y^2 = {args.n}",
         "solvable": witness is not None,
-        "witness": list(witness) if witness else None,
+        "witness": witness,
     }
     if reps is not None:
-        results["orbit_representatives"] = [list(s) for s in reps]
+        results["orbit_representatives"] = reps
     if args.bound is not None:
         # the trivial (0, 0) of n = 0 is no solution, as in pell.solve
         results["solutions_up_to_bound"] = [
-            list(s) for s in pell.solutions_up_to(r, args.n, args.bound) if any(s)
+            s for s in pell.solutions_up_to(r, args.n, args.bound) if any(s)
         ]
     return results, EXIT_OK
 
@@ -190,10 +181,10 @@ def cmd_curve_class(args) -> tuple[dict, int]:
     C = surf.find_curve_class(L, (g, d))
     results = {
         "r": L.r,
-        "model": [L.b, L.c],
+        "model": L,
         "gd": [g, d],
         "exists": C is not None,
-        "class": list(C) if C else None,
+        "class": C,
     }
     if C is not None:
         results["span_disc"] = L.r * C[1] ** 2
@@ -205,11 +196,11 @@ def _row_payload(rec) -> dict:
     from . import links
 
     return {
-        "gd": list(rec.gd),
+        "gd": rec.gd,
         "target": rec.target,
-        "gd_plus": list(rec.gd_plus),
+        "gd_plus": rec.gd_plus,
         "abc": [rec.a, rec.b, rec.c],
-        "matrix": _mat(links.link_matrix(rec)),
+        "matrix": links.link_matrix(rec),
     }
 
 
@@ -236,7 +227,7 @@ def cmd_realize(args) -> tuple[dict, int]:
         return err, EXIT_BAD_INPUT
     kind = surf.classify_aut(L)
     if kind.tag == "Trivial":
-        return _with_caveat({"r": L.r, "model": [L.b, L.c], "tag": kind.tag,
+        return _with_caveat({"r": L.r, "model": L, "tag": kind.tag,
                              "error": "the automorphism group is trivial; nothing to realize"},
                             EXIT_BAD_INPUT)
     items = []
@@ -244,13 +235,12 @@ def cmd_realize(args) -> tuple[dict, int]:
     for g in kind.generators:
         word = links.realize_generator(L, g)
         if word is None:
-            items.append({"generator": _mat(g), "word": None,
+            items.append({"generator": g, "word": None,
                           "error": "no word of length <= 2 found"})
             code = EXIT_SEARCH_EXHAUSTED
             continue
-        items.append({"generator": _mat(g), **links.word_to_json(word, g)})
-    return _with_caveat(
-        {"r": L.r, "model": [L.b, L.c], "tag": kind.tag, "realizations": items}, code)
+        items.append({"generator": g, **links.word_to_json(word, g)})
+    return _with_caveat({"r": L.r, "model": L, "tag": kind.tag, "realizations": items}, code)
 
 
 def cmd_exclusion(args) -> tuple[dict, int]:
@@ -268,12 +258,9 @@ def cmd_antiflip(args) -> tuple[dict, int]:
 
     report = exclusion.antiflip_report()
     return {
-        "solvable": sorted(list(p) for p in report.solvable),
+        "solvable": sorted(report.solvable),
         "configurations": report.configurations,
-        "witnesses": [
-            {**w._asdict(), "frame_class": list(fc) if (fc := w.frame_class()) else None}
-            for w in report.witnesses
-        ],
+        "witnesses": [{**w._asdict(), "frame_class": w.frame_class()} for w in report.witnesses],
     }, EXIT_OK
 
 

@@ -236,9 +236,9 @@ def _square_solutions(t: int, N: int) -> list[Vec]:
 def solve(r: int, n: int) -> Vec | None:
     """A witness (x, y) with x^2 - r*y^2 = n, or None when none exists.
 
-    The witness is (sqrt(n), 0) for square n > 0, and otherwise the least
-    (|y|, |x|) over solution_class_reps(r, n). The trivial (0, 0) never
-    counts as a witness for n = 0.
+    For n != 0 the witness is least_witness(solution_class_reps(r, n)),
+    which is (sqrt(n), 0) for square n > 0. The trivial (0, 0) never counts
+    as a witness for n = 0.
     """
     if r <= 0:
         raise ValueError("r must be a positive integer")
@@ -247,8 +247,6 @@ def solve(r: int, n: int) -> Vec | None:
         if is_square(r):
             return (isqrt(r), 1)
         return None
-    if n > 0 and is_square(n):
-        return (isqrt(n), 0)
     return least_witness(solution_class_reps(r, n))
 
 
@@ -256,7 +254,8 @@ def least_witness(reps: list[Vec]) -> Vec | None:
     """The witness ``solve`` reports for n != 0, read off
     ``solution_class_reps(r, n)``: the least (|y|, |x|) over the
     representatives, as (|x|, |y|), or None when there are none. For square
-    n > 0 that is (sqrt(n), 0), the shortcut ``solve`` takes."""
+    n > 0 that is (sqrt(n), 0), since (sqrt(n), 0) solves and no solution
+    has a smaller |y|."""
     return min(((abs(x), abs(y)) for x, y in reps),
                key=lambda s: (s[1], s[0]), default=None)
 

@@ -122,6 +122,30 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == {}
 
 
+def test_every_private_module_name_is_used_in_src():
+    # a private helper whose last caller went away is dead code too
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((SRC / "quartaut").glob("*.py"))}
+    loaded = {node.id if isinstance(node, ast.Name) else node.attr
+              for tree in trees.values() for node in ast.walk(tree)
+              if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+              or isinstance(node, ast.Attribute)}
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [(module, name) for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in loaded]
+    assert unused == []
+
+
 _REC = LinkRecord((14, 11), "P3", (14, 11), 19, 5, 19)
 
 

@@ -511,6 +511,50 @@ def test_a_class_step_is_one_whose_quotient_passes_half_the_root():
     assert (starts, steps, classes) == (2394, 48321, 929)
 
 
+def test_cycle_automorph_generates_the_isometries_in_a_box():
+    """Every determinant-1 isometry g of a nonsquare model with |b| <= 8 and
+    9 < r <= 300 whose image (x, y) of H has |y| <= 3000 is ±A^j, A from
+    _reduced_cycle, and every ±A^j in that box is found. g is read off g*H:
+    H^2 = 4 reads (4x + b*y)^2 - r*y^2 = 16, and g*W = (p, q) solves
+    (g*H).(g*W) = b and x*q - y*p = 1, whose determinant is (g*H)^2 = 4, so
+    (p, q) = (-c*y/2, x + b*y/2); g is an isometry when that is integral,
+    as the Gram determinant then fixes (g*W)^2 = 2c. The lower-left entry of
+    A^j is U_j times A's, with |U_j| strictly growing in |j| since
+    |tr A| > 2, so the walk over j stops once it leaves the box."""
+    from quartaut import isometry
+
+    box = 3000
+    models = found_total = nontrivial = 0
+    for b in range(-8, 9):
+        for r in range(10, 301):
+            if (b * b - r) % 8 or pell.is_square(r):
+                continue
+            c = (b * b - r) // 8
+            L = QuarticLattice(b, c)
+            found = set()
+            for y in range(-box, box + 1):
+                X0 = isqrt(16 + r * y * y)
+                if X0 * X0 != 16 + r * y * y or (c * y) % 2 or (b * y) % 2:
+                    continue
+                for X in {X0, -X0}:
+                    if (X - b * y) % 4 == 0:
+                        x = (X - b * y) // 4
+                        found.add(((x, -c * y // 2), (y, x + b * y // 2)))
+            A = surface._reduced_cycle(L)[2]
+            powers = set()
+            for M in (A, mat_inv_unimodular(A)):
+                Mj = IDENTITY
+                while abs(Mj[1][0]) <= box:
+                    powers.update({Mj, tuple(tuple(-e for e in row) for row in Mj)})
+                    Mj = mat_mul(Mj, M)
+            assert found == powers, (L, sorted(found ^ powers)[:4])
+            assert all(isometry.is_isometry(L, g) for g in found), L
+            models += 1
+            found_total += len(found)
+            nontrivial += len(found - {IDENTITY, ((-1, 0), (0, -1))})
+    assert (models, found_total, nontrivial) == (528, 4288, 3232)
+
+
 def test_hyperplane_is_ample():
     for r in ALL_R:
         L = QuarticLattice(*canonical_bc(r))
