@@ -132,8 +132,8 @@ def reflection(L: surf.QuarticLattice, A: Vec) -> Mat:
 
 def generators_for(L: surf.QuarticLattice, tag: str, axes: list[Vec]) -> list[Mat]:
     """Generator matrices for a classify_aut tag: h^k for Z, otherwise the
-    reflections in the axes, the ample square-2 classes already sorted by
-    their Pell key (none for Trivial). AutKind checks the count."""
+    reflections in the axes, the ample square-2 classes A already in the
+    order (|y|, y, A.H) (none for Trivial). AutKind checks the count."""
     if tag == "Z":
         # no (-2)-class, so every power of h passes torelli_ok
         return [_gluing_power(L)[0]]

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from . import pell
 from .exclusion import FORBIDDEN_DISCS
-from .lattice import GramLattice, Mat, Vec, mat_inv_unimodular, mat_vec
+from .lattice import GramLattice, Mat, Vec
 
 H: Vec = (1, 0)
 
@@ -118,8 +118,8 @@ class AutKind(NamedTuple("AutKind", [("tag", str), ("generators", tuple[Mat, ...
     generator matrices (checked on construction), and the witnesses that
     decide the tag: obstruction, a nonzero class of square 0 (square r) or
     the first chamber wall, an effective class of square -2 (None when there
-    is neither), and axes, the ample square-2 classes sorted by their Pell
-    key (the reflection axes for Z2 and Z2starZ2)."""
+    is neither), and axes, the ample square-2 classes A in the order
+    (|y|, y, A.H) (the reflection axes for Z2 and Z2starZ2)."""
 
     __slots__ = ()
 
@@ -218,6 +218,10 @@ def _index(r: int, d: int, sq: int) -> int | None:
 def find_curve_class(L: QuarticLattice, target: tuple[int, int]) -> Vec | None:
     """A class D with genus_degree(L, D) == target, or None.
 
+    None when d < 1 or g < 0, without a search: genus_degree refuses every
+    class of degree <= 0 or of square 2g - 2 < -2, so no curve has such a
+    target, though H.D = d, D^2 = 2g - 2 may solve (by the zero class for
+    (1, 0)).
     Exact: _index fixes |y|, and H.D = d fixes D = ((d - b*y)/4, y). The
     first of y = -|y|, +|y| meeting the mod-4 congruence is returned, and
     one of them always does: d^2 - r*y^2 = 4*D^2 with D^2 even and
@@ -225,6 +229,8 @@ def find_curve_class(L: QuarticLattice, target: tuple[int, int]) -> Vec | None:
     even and one of them is divisible by 4, i.e. d ≡ ±b*y (mod 4).
     """
     g, d = target
+    if d < 1 or g < 0:
+        return None
     y = _index(L.r, d, 2 * (g - 1))
     if y is None:
         return None
@@ -294,7 +300,7 @@ def _reduced_cycle(L: QuarticLattice) -> tuple[list[Vec], list[Vec], Mat]:
     _pqa walks one full period; it holds the cap pell._PQA_CAP and its
     refusal, and this replay takes no step of its own.
     """
-    r, sd = L.r, isqrt(L.r)
+    sd = isqrt(r := L.r)
     b0 = sd - (sd - L.b) % 4
     k = (b0 - L.b) // 4
     quotients, _ = pell._pqa(b0, (r - b0 * b0) // 4, r)
@@ -320,46 +326,42 @@ def _classes(L: QuarticLattice) -> tuple[list[Vec], list[Vec], Mat | None]:
     (X - ty)(X + ty) = -8 with X = D.H has even factors (they differ by
     2ty), ±2 and ∓4, so X = ±1 and ty = ±3 with t >= 3 (1 and 4 are
     forbidden), and y = ±1 with X ≡ b*y (mod 4)."""
-    if pell.is_square(L.r):
+    r = L.r
+    if pell.is_square(r):
         return [D for X in (1, -1) for y in (1, -1)
-                if L.r == 9 and (D := _congruent_class(L.b, X, y))], [], None
+                if r == 9 and (D := _congruent_class(L.b, X, y))], [], None
     return _reduced_cycle(L)
-
-
-def _pell_key(L: QuarticLattice, D: Vec) -> tuple[int, int, int]:
-    """The order in which classes are listed: (|y|, y, D.H)."""
-    return abs(D[1]), D[1], L.dot(H, D)
 
 
 def _least_degree_each_side(L: QuarticLattice, starts: list[Vec],
                             A: Mat | None) -> list[Vec]:
-    """Among the classes of one square k = ±2 reached from starts, the class
-    of least degree D.H with y < 0 and the one with y > 0 (each normalized
-    effective), sorted by _pell_key; at most two classes.
-
-    For square r the starts are the whole finite set and A is None. For
-    nonsquare r they are _reduced_cycle's classes and A its automorph.
-    Along an orbit the normalized y changes sign once, at H, and on each
-    side the degree D.H = x grows with |y|, since x^2 = 4k + r*y^2. So the
-    least degree on a side lies at the orbit's class nearest H on that side.
-    On the hyperbolic line of the positive cone, write v = alpha*e + beta*e'
-    in a basis of the two isotropic lines: the point of v (for v^2 > 0) or
-    its wall (v^2 < 0) sits at log|alpha/beta|, and A scales alpha and beta
-    by inverse factors. The cycle's first columns are convergents of a root
-    of f, so |beta| falls and |alpha| grows along the cycle (Legendre's
-    best approximation), and they run in order from H to A*H. So each
-    start D is its orbit's nearest class past H towards A*H, and A^-1*D the
-    nearest on the other side: D and A^-1*D are all that need reading.
-    """
+    """Of the classes of square k = ±2 reached from starts, normalized
+    effective, the least in degree D.H with y <= 0 and with y' > 0, in the
+    order (|y|, y, D.H), which puts y first iff y + y' >= 0. Square r: the
+    starts are the whole finite set, A is None. Nonsquare r: _reduced_cycle's
+    classes and automorph A; det A = 1, so A^-1 = ((a22, -a12), (-a21, a11)).
+    Along an orbit y changes sign once, at H, and D.H = x grows with |y| on
+    each side (x^2 = 4k + r*y^2), so a side's least degree is at the orbit's
+    class nearest H. A class v = alpha*e + beta*e' (e, e' isotropic), or its
+    wall if v^2 < 0, sits at log|alpha/beta| on the positive cone's line, A
+    scales alpha and beta by inverse factors, and the cycle's first columns,
+    convergents of a root of f (|beta| falls, |alpha| grows: Legendre), run
+    from H to A*H. So each start D is its orbit's nearest class past H
+    towards A*H, and A^-1*D the nearest on the other side."""
     if A is not None:
-        Ai = mat_inv_unimodular(A)
-        starts = starts + [mat_vec(Ai, D) for D in starts]
-    b, least = L.b, {}
-    for D in starts:
-        D = _normalize_effective(b, D)
-        key = (4 * D[0] + b * D[1], D)
-        least[D[1] > 0] = min(key, least.get(D[1] > 0, key))
-    return sorted((D for _, D in least.values()), key=lambda D: _pell_key(L, D))
+        (a11, a12), (a21, a22) = A
+        starts = starts + [(a22 * x - a12 * y, a11 * y - a21 * x) for x, y in starts]
+    b, lo, hi = L.b, None, None
+    for x, y in starts:
+        if (d := 4 * x + b * y) < 0 or (d == 0 and (x, y) < (-x, -y)):
+            x, y, d = -x, -y, -d
+        if y > 0:
+            if hi is None or (d, x, y) < hi:
+                hi = d, x, y
+        elif lo is None or (d, x, y) < lo:
+            lo = d, x, y
+    least = [D[1:] for D in (lo, hi) if D]
+    return least[::-1] if lo and hi and lo[2] + hi[2] < 0 else least
 
 
 def _chamber_walls(L: QuarticLattice) -> list[Vec]:
@@ -380,7 +382,7 @@ def is_ample(L: QuarticLattice, A: Vec) -> bool:
 
 
 def ample_square2_axes(L: QuarticLattice) -> list[Vec]:
-    """The distinguished ample square-2 classes, sorted by _pell_key.
+    """The distinguished ample square-2 classes, in the order (|y|, y, A.H).
 
     With no walls every positive square-2 class is ample, and the generators
     of the reflection group are the two classes of least degree, one on each

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quartaut import exclusion, pell, surface
@@ -179,6 +179,29 @@ def test_find_curve_class_pinned_models():
         assert span_disc == r
     with pytest.raises(KeyError):
         curve_model(9)
+
+
+def test_find_curve_class_refuses_targets_no_curve_has():
+    """genus_degree refuses every class of degree <= 0 or of square
+    2g - 2 < -2, so find_curve_class answers None for d < 1 or g < 0; on
+    the rest of the grid every class it returns has the target. Some
+    refused targets solve H.D = d, D^2 = 2g - 2 all the same: (1, 0) by the
+    zero class, and (-1, 5) on r = 41 by (1, 1), of square -4."""
+    assert find_curve_class(QuarticLattice.from_disc(41), (-1, 5)) is None
+    solvable = found = 0
+    for L in (QuarticLattice(3, 0), QuarticLattice(0, -2), QuarticLattice(1, -3),
+              QuarticLattice(1, -5), QuarticLattice(2, -1), QuarticLattice(8, 1)):
+        assert find_curve_class(L, (1, 0)) is None, L
+        for g in range(-4, 8):
+            for d in range(-6, 16):
+                D = find_curve_class(L, (g, d))
+                if d < 1 or g < 0:
+                    assert D is None, (L, g, d, D)
+                    solvable += surface._index(L.r, d, 2 * (g - 1)) is not None
+                elif D is not None:
+                    assert genus_degree(L, D) == (g, d), (L, g, d, D)
+                    found += 1
+    assert solvable > 0 and found > 0, (solvable, found)
 
 
 def test_forbidden_small_disc_examples():
@@ -553,6 +576,64 @@ def test_cycle_automorph_generates_the_isometries_in_a_box():
             found_total += len(found)
             nontrivial += len(found - {IDENTITY, ((-1, 0), (0, -1))})
     assert (models, found_total, nontrivial) == (528, 4288, 3232)
+
+
+def test_cycle_automorph_has_determinant_one():
+    """_least_degree_each_side reads A^-1 off A's entries as
+    ((a22, -a12), (-a21, a11)), which holds only for det A = 1; the cycle
+    multiplies determinant-1 steps, checked on the 1925 nonsquare models with
+    -8 <= b <= 8 and 9 <= r <= 1000."""
+    models = 0
+    for b in range(-8, 9):
+        for r in range(9, 1001):
+            if (b * b - r) % 8 or pell.is_square(r):
+                continue
+            L = QuarticLattice(b, (b * b - r) // 8)
+            (a11, a12), (a21, a22) = surface._reduced_cycle(L)[2]
+            assert a11 * a22 - a12 * a21 == 1, (b, r)
+            models += 1
+    assert models == 1925
+
+
+def _old_least_degree_each_side(L, starts, A):
+    """The reader composed from the general tools: invert A, normalize each
+    class effective (D.H > 0, a D.H = 0 tie broken lexicographically), keep
+    the least (D.H, D) per side of y > 0, and sort by (|y|, y, D.H)."""
+    if A is not None:
+        starts = starts + [mat_vec(mat_inv_unimodular(A), D) for D in starts]
+    least = {}
+    for D in starts:
+        d = L.dot(H, D)
+        if d < 0 or (d == 0 and D < (-D[0], -D[1])):
+            D, d = (-D[0], -D[1]), -d
+        least[D[1] > 0] = min((d, D), least.get(D[1] > 0, (d, D)))
+    return sorted((D for _, D in least.values()),
+                  key=lambda D: (abs(D[1]), D[1], L.dot(H, D)))
+
+
+_STEP = st.one_of(st.integers(-5, 5).map(lambda s: ((0, -1), (1, s))),
+                  st.integers(-5, 5).map(lambda k: ((1, k), (0, 1))))
+_COORD = st.one_of(st.integers(-3, 3), st.integers(-50, 50))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([QuarticLattice(b, c) for b in range(-3, 4) for c in (-5, -3, -2)]),
+       st.lists(st.tuples(_COORD, _COORD).filter(any), max_size=6),
+       st.none() | st.lists(_STEP, max_size=6))
+@example(QuarticLattice(1, -2), [(1, 0), (2, -4), (0, 4), (-1, 4)], None)  # D.H ties
+@example(QuarticLattice(1, -2), [(3, 2), (-1, -1)], None)  # one side only
+@example(QuarticLattice(0, -2), [(2, 5), (-3, -5)], [((0, -1), (1, 2))])
+def test_least_degree_each_side_matches_the_old_reader(L, starts, steps):
+    """The reader against its composition from mat_inv_unimodular,
+    mat_vec, a dict keyed on the side and sorted, on random classes
+    (|x|, |y| <= 50, degree ties, y = 0 and one-sided lists among them) and
+    a random determinant-1 A, a product of ((0, -1), (1, s)) and
+    ((1, k), (0, 1)) with |s|, |k| <= 5."""
+    A = None if steps is None else IDENTITY
+    for M in steps or ():
+        A = mat_mul(A, M)
+    assert surface._least_degree_each_side(L, starts, A) == \
+        _old_least_degree_each_side(L, starts, A)
 
 
 def test_hyperplane_is_ample():
