@@ -12,7 +12,13 @@ eps = ±1, which fix H, between steps; the composite is the product of the
 conjugated step matrices in step order. realize_generator searches words of
 length at most two, built from catalog rows and the X5 row run backwards,
 whose composite equals a given generator matrix; each step's B must turn
-the current frame into the Gram of its row's source frame.
+the current frame into the Gram of its row's source frame. B and every step
+keep the frame's determinant, which is -r on {H, W}, and a P3 frame
+(4, d, 2g - 2) has determinant -(d^2 - 8(g - 1)): only the eight frame
+discriminants r = 17, 20, 28, 32, 40, 41, 48 and 56 of the catalog rows can
+start a word. The search therefore looks rows up by their frame's
+(H^2, det), and works on integer triples; compose_word replays each word
+independently on GramLattice frames.
 """
 from __future__ import annotations
 
@@ -20,6 +26,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .lattice import (GramLattice, IDENTITY, Mat, change_basis, mat_inv_unimodular, mat_mul,
                       reflection_in)
+
+Frame = tuple[int, int, int]
 
 if TYPE_CHECKING:
     from . import surface as surf
@@ -128,17 +136,33 @@ def compose_word(word: LinkWord) -> Mat:
     return acc
 
 
-def _step_candidates(cur: GramLattice, want: GramLattice) -> list[Mat]:
+def _step_candidates(cur: Frame, want: Frame) -> list[Mat]:
     """B = ((1, x), (0, eps)) with B^T cur B = want, eps = +1 first (the
     identity is eps = 1, x = 0): x is fixed by H.C' for C' = x*H + eps*C,
     and as B is unimodular, C'^2 is right iff the determinants agree."""
+    (q11, q12, q22), (w11, w12, w22) = cur, want
     out = []
-    if cur.q11 == want.q11 and cur.det() == want.det():
+    if q11 == w11 and q11 * q22 - q12 * q12 == w11 * w22 - w12 * w12:
         for eps in (1, -1):
-            x, rem = divmod(want.q12 - eps * cur.q12, cur.q11)
+            x, rem = divmod(w12 - eps * q12, q11)
             if not rem:
                 out.append(((1, x), (0, eps)))
     return out
+
+
+def _conjugated(m: Mat, B: Mat) -> Mat:
+    """conjugate(m, B) for B = ((1, x), (0, eps)), whose inverse is
+    ((1, -x*eps), (0, eps)), written out."""
+    ((a, b), (c, d)), ((_, x), (_, eps)) = m, B
+    return ((a + x * c, eps * (b + x * (d - a) - x * x * c)), (eps * c, d - x * c))
+
+
+def _moved(Q: Frame, m: Mat) -> Frame:
+    """The frame m^T Q m, written out."""
+    (q11, q12, q22), ((a, b), (c, d)) = Q, m
+    return (q11 * a * a + 2 * q12 * a * c + q22 * c * c,
+            q11 * a * b + q12 * (a * d + b * c) + q22 * c * d,
+            q11 * b * b + 2 * q12 * b * d + q22 * d * d)
 
 
 def _reversed(rec: LinkRecord) -> LinkRecord:
@@ -151,13 +175,21 @@ def _reversed(rec: LinkRecord) -> LinkRecord:
                       source=rec.target)
 
 
-# (row, Gram of its source frame, link_matrix): every row may open a word;
-# the P3 self-links and the return legs of the links to X5 may close one.
-_OPENERS = tuple((rec, frame(rec.source, rec.gd), link_matrix(rec)) for rec in _CATALOG)
-_CLOSERS = tuple((rec, frame(rec.source, rec.gd), link_matrix(rec)) for rec in (
-    *(rec for rec in _CATALOG if rec.target == "P3"),
-    *(_reversed(rec) for rec in _CATALOG if rec.target != "P3"),
-))
+def _by_frame(recs) -> dict[tuple[int, int], list[tuple[LinkRecord, GramLattice, Mat]]]:
+    """(row, Gram of its source frame, link_matrix) for each row, grouped
+    under that frame's (H^2, det) in row order."""
+    out: dict[tuple[int, int], list[tuple[LinkRecord, GramLattice, Mat]]] = {}
+    for rec in recs:
+        want = frame(rec.source, rec.gd)
+        out.setdefault((want.q11, want.det()), []).append((rec, want, link_matrix(rec)))
+    return out
+
+
+# Every row may open a word; the P3 self-links and the return legs of the
+# links to X5 may close one.
+_OPENERS = _by_frame(_CATALOG)
+_CLOSERS = _by_frame((*(rec for rec in _CATALOG if rec.target == "P3"),
+                      *(_reversed(rec) for rec in _CATALOG if rec.target != "P3")))
 
 
 def realize_generator(L: surf.QuarticLattice, target: Mat) -> LinkWord | None:
@@ -167,24 +199,37 @@ def realize_generator(L: surf.QuarticLattice, target: Mat) -> LinkWord | None:
     basis B = ((1, x), (0, eps)) that turns the current frame into the
     Gram of the row's source frame; B is unimodular, so the step's curve
     B(0, 1) = x*H + eps*C spans L together with H. The first frame is
-    {H, W}, and a step with conjugated matrix m moves the frame Q to
-    m^T Q m. Words start and end on P3. A closer needs no ambient test:
-    the frame's H^2 is its ambient's (4 on P3, 10 on X5), and
-    _step_candidates finds no basis between frames whose H^2 differ.
+    {H, W} = (4, b, 2c), and a step with conjugated matrix m moves the
+    frame Q to m^T Q m. Words start and end on P3.
+
+    B fixes H^2 and, being unimodular, the determinant, and so does each
+    step, an isometry between frames (det m = -1). So a step can start only
+    from a row whose source frame has the current H^2 and determinant -r:
+    the search looks its rows up under that key. A P3 frame (4, d, 2g - 2)
+    has determinant -(d^2 - 8(g - 1)), so only the eight discriminants
+    r = 17, 20, 28, 32, 40, 41, 48 and 56 of the catalog rows can open a
+    word; on any other lattice the search builds no candidate and returns
+    None. A closer needs no ambient test: the frame's H^2 is its ambient's
+    (4 on P3, 10 on X5). Frames are (q11, q12, q22) triples of ints.
     Search order: length 1 before length 2; catalog order; eps = +1 before
     eps = -1.
     """
-    base = L.base
-    firsts = [(rec, B, conjugate(lm, B))
-              for rec, want, lm in _OPENERS for B in _step_candidates(base, want)]
+    b, c = L
+    det = 8 * c - b * b
+    openers = _OPENERS.get((4, det))
+    if openers is None:
+        return None
+    base = (4, b, 2 * c)
+    firsts = [(rec, B, _conjugated(lm, B))
+              for rec, want, lm in openers for B in _step_candidates(base, want)]
     for rec, B, m in firsts:
         if rec.target == "P3" and m == target:
             return LinkWord((LinkStep(rec, B),))
     for rec1, B1, m1 in firsts:
-        cur = change_basis(base, m1)
-        for rec2, want, lm2 in _CLOSERS:
+        cur = _moved(base, m1)
+        for rec2, want, lm2 in _CLOSERS.get((cur[0], det), ()):
             for B2 in _step_candidates(cur, want):
-                if mat_mul(m1, conjugate(lm2, B2)) == target:
+                if mat_mul(m1, _conjugated(lm2, B2)) == target:
                     return LinkWord((LinkStep(rec1, B1), LinkStep(rec2, B2)))
     return None
 

@@ -1,4 +1,6 @@
 """Link catalog, conjugation and composition identities, generator words."""
+import collections
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -220,13 +222,13 @@ def _replays_on_frames(L, word):
 
 
 FRAME_RS = (17, 20, 28, 32, 40, 41, 48, 56)
+FRAME_MODELS = sorted({(b, (b * b - r) // 8) for r in FRAME_RS for b in range(-12, 13)
+                       if (b * b - r) % 8 == 0})
 
 
 def test_realize_all_generators_with_short_words():
-    models = {(b, (b * b - r) // 8) for r in FRAME_RS for b in range(-12, 13)
-              if (b * b - r) % 8 == 0}
     words = {}
-    for b, c in sorted(models):
+    for b, c in FRAME_MODELS:
         L = QuarticLattice(b, c)
         for gen in classify_aut(L).generators:
             word = words[b, c, gen] = links.realize_generator(L, gen)
@@ -241,6 +243,101 @@ def test_realize_all_generators_with_short_words():
     # the canonical r = 17 model blows up the curve 3H - W
     (steps,) = [w.steps for (b, c, _), w in words.items() if (b, c) == (1, -2)]
     assert [(s.record.gd, s.change) for s in steps] == [((14, 11), links.base_change(3))]
+
+
+def _with_frames(recs):
+    return [(rec, links.frame(rec.source, rec.gd), links.link_matrix(rec)) for rec in recs]
+
+
+REF_OPENERS = _with_frames(links.catalog())
+REF_CLOSERS = _with_frames((*(rec for rec in links.catalog() if rec.target == "P3"),
+                            *(links._reversed(rec) for rec in links.catalog()
+                              if rec.target != "P3")))
+
+
+def _linear_search(L, target):
+    """The link search as a linear scan, the oracle for realize_generator:
+    every row may open and every closer may close, each step found by
+    _step_candidates on GramLattice frames and applied with change_basis."""
+    firsts = [(rec, B, links.conjugate(lm, B))
+              for rec, want, lm in REF_OPENERS for B in links._step_candidates(L.base, want)]
+    for rec, B, m in firsts:
+        if rec.target == "P3" and m == target:
+            return _word((rec, B))
+    for rec1, B1, m1 in firsts:
+        cur = change_basis(L.base, m1)
+        for rec2, want, lm2 in REF_CLOSERS:
+            for B2 in links._step_candidates(cur, want):
+                if mat_mul(m1, links.conjugate(lm2, B2)) == target:
+                    return _word((rec1, B1), (rec2, B2))
+    return None
+
+
+def test_realize_generator_matches_the_linear_search():
+    """The same word, or None, as the linear scan: on the generators of
+    every model with |b| <= 12 and 9 < r <= 1000 where classify_aut answers,
+    and on the frame-discriminant models also on products of conjugated
+    link matrices over a box of bases, reachable or not."""
+    gens = 0
+    for b in range(-12, 13):
+        for r in range(10, 1001):
+            if (b * b - r) % 8:
+                continue
+            L = QuarticLattice(b, (b * b - r) // 8)
+            try:
+                kind = classify_aut(L)
+            except RuntimeError:
+                continue
+            for g in kind.generators:
+                gens += 1
+                assert links.realize_generator(L, g) == _linear_search(L, g), (L, g)
+    assert gens == 2307
+    box = [((1, x), (0, eps)) for eps in (1, -1) for x in range(-4, 5)]
+    seen = collections.Counter()
+    for b, c in FRAME_MODELS:
+        L = QuarticLattice(b, c)
+        firsts = [links.conjugate(lm, B)
+                  for _, want, lm in REF_OPENERS for B in links._step_candidates(L.base, want)]
+        targets = {links.conjugate(lm, B) for _, _, lm in REF_OPENERS for B in box}
+        targets |= {mat_mul(m1, links.conjugate(lm, B))
+                    for m1 in firsts for _, _, lm in REF_CLOSERS for B in box}
+        for t in sorted(targets):
+            word = links.realize_generator(L, t)
+            assert word == _linear_search(L, t), (L, t)
+            if word is None:
+                seen["none"] += 1
+                continue
+            last = word.steps[-1]
+            seen[len(word.steps), last.change[1][1], last.record.source] += 1
+    assert seen["none"] > 0
+    assert {k for k in seen if k != "none"} == {
+        (1, 1, "P3"), (1, -1, "P3"), (2, 1, "P3"), (2, -1, "P3"), (2, 1, "X5"), (2, -1, "X5")}
+
+
+def test_no_link_candidate_off_the_frame_discriminants(monkeypatch):
+    """A word's first step needs a unimodular basis change from {H, W} to
+    a P3 frame (4, d, 2g - 2), so det = -r must be a frame's determinant:
+    on any other discriminant the search builds no candidate at all."""
+    assert set(FRAME_RS) == {rec.gd[1] ** 2 - 8 * (rec.gd[0] - 1)
+                             for rec in links.catalog() if rec.source == "P3"}
+
+    def refuse(cur, want):
+        raise AssertionError(f"candidate built from {cur} to {want}")
+
+    monkeypatch.setattr(links, "_step_candidates", refuse)
+    probed = 0
+    for r in range(10, 1001):
+        if r % 8 not in (0, 1, 4) or r in FRAME_RS:
+            continue
+        L = QuarticLattice.from_disc(r)
+        try:
+            gens = classify_aut(L).generators
+        except RuntimeError:
+            gens = ()
+        for target in (IDENTITY, *gens):
+            assert links.realize_generator(L, target) is None, (r, target)
+            probed += 1
+    assert probed == 639
 
 
 # even Gram matrices ((q11, q12), (q12, q22)) with H^2 = q11 > 0, nondegenerate
