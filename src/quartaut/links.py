@@ -242,13 +242,13 @@ def word_to_json(word: LinkWord, target: Mat) -> dict:
     return {
         "word": [
             {
-                "gd": list(step.record.gd),
+                "gd": step.record.gd,
                 "target": step.record.target,
-                "base_change": [list(row) for row in step.change],
+                "base_change": step.change,
                 "abc": [step.record.a, step.record.b, step.record.c],
             }
             for step in word.steps
         ],
-        "composite": [list(row) for row in comp],
+        "composite": comp,
         "matches_generator": comp == target,
     }

@@ -437,10 +437,10 @@ def test_word_to_json_schema():
     word = links.realize_generator(L, gen)
     out = links.word_to_json(word, gen)
     assert out["matches_generator"] is True
-    assert out["composite"] == [[209, 56], [-56, -15]]
-    assert [w["gd"] for w in out["word"]] == [[3, 8], [3, 8]]
-    assert out["word"][0]["base_change"] == [[1, 0], [0, 1]]
-    assert out["word"][1]["base_change"] == [[1, 4], [0, -1]]
+    assert out["composite"] == ((209, 56), (-56, -15))
+    assert [w["gd"] for w in out["word"]] == [(3, 8), (3, 8)]
+    assert out["word"][0]["base_change"] == ((1, 0), (0, 1))
+    assert out["word"][1]["base_change"] == ((1, 4), (0, -1))
     assert {"gd", "target", "base_change", "abc"} <= set(out["word"][0])
     for step, rec in zip(out["word"], (s.record for s in word.steps)):
         assert step["abc"] == [rec.a, rec.b, rec.c]
