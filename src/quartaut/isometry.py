@@ -178,7 +178,3 @@ def aut_generators(L: surf.QuarticLattice) -> list[Mat]:
     [] / [reflection] / [two reflections] / [h^k] per the classification."""
     return list(surf.classify_aut(L).generators)
 
-
-def to_json(m: Mat) -> dict:
-    """Row-major serialization with the basis convention made explicit."""
-    return {"matrix": [list(m[0]), list(m[1])], "basis": "H,W columns"}

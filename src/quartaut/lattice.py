@@ -33,9 +33,6 @@ class GramLattice(NamedTuple("GramLattice", [("q11", int), ("q12", int), ("q22",
     def gram(self) -> Mat:
         return ((self.q11, self.q12), (self.q12, self.q22))
 
-    def to_json(self) -> dict:
-        return {"q": [[self.q11, self.q12], [self.q12, self.q22]]}
-
 
 def pairing(L: GramLattice, u: Vec, v: Vec) -> int:
     """Symmetric bilinear value u^T Q v; pairing(L, u, u) is the self-intersection."""
@@ -71,23 +68,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
         (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
     )
-
-
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
-
-
-def mat_pow(m: Mat, k: int) -> Mat:
-    if k < 0:
-        return mat_pow(mat_inv_unimodular(m), -k)
-    out = IDENTITY
-    base = m
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
 
 
 def mat_inv_unimodular(m: Mat) -> Mat:

@@ -252,20 +252,6 @@ def forbidden_small_disc(b: int, c: int) -> tuple[Vec, tuple[int, int]]:
     return _normalize_effective(b, E), (sq, deg)
 
 
-def automorph(L: QuarticLattice) -> Mat:
-    """The class-vector action T of the fundamental solution (t, u) of
-    x^2 - r*y^2 = 1, an isometry of determinant 1.
-
-    The isometries of determinant 1 are ±A^j, A the automorph that
-    _reduced_cycle reads off one cycle, and T = ±A^j for some j >= 1. T
-    need not generate them: j is 2, 3 or 4 on 491 of the 1925 nonsquare
-    models with -8 <= b <= 8 and r <= 1000. On QuarticLattice(2, -1), r = 12,
-    A = ((-1, -1), (-2, -3)) and T = A^2 = ((3, 4), (8, 11)).
-    """
-    t, u = pell.fundamental_solution(L.r)
-    return ((t - L.b * u, -2 * L.c * u), (4 * u, t + L.b * u))
-
-
 def _reduced_cycle(L: QuarticLattice) -> tuple[list[Vec], list[Vec], Mat]:
     """For nonsquare r: the classes of square -2, the classes of square 2,
     each one per orbit under ±A, and A, read off one cycle of reduced forms

@@ -19,6 +19,7 @@ from quartaut.surface import (
     curve_model,
     find_curve_class,
 )
+from oracles import automorph, mat_pow
 
 R0 = {9, 12, 16, 24, 25, 33, 36, 44, 49, 57}
 R1 = {17, 41}
@@ -244,13 +245,9 @@ def test_criterion_9():
         r = b * b - 8 * c
         if r <= 0 or r in (1, 4, 8) or pell.is_square(r):
             continue
-        from quartaut.surface import automorph
-
         L = QuarticLattice(b, c)
         T = automorph(L)
         k = rng.randint(1, 3)
-        from quartaut.lattice import mat_pow
-
         assert isometry.is_isometry(L, mat_pow(T, k))
         checked += 1
 

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quartaut.lattice import IDENTITY, mat_mul, mat_pow, mat_vec, reflection_in
+from quartaut.lattice import IDENTITY, mat_mul, reflection_in
 from quartaut.surface import (
-    H, QuarticLattice, automorph, canonical_bc, class_with_square_exists, classify_aut,
+    H, QuarticLattice, canonical_bc, class_with_square_exists, classify_aut,
     curve_model,
 )
 from quartaut import isometry, pell, surface
+from oracles import automorph, mat_pow, mat_vec
 
 L17 = QuarticLattice(11, 13)
 M17 = ((19, 72), (-5, -19))
@@ -375,12 +376,6 @@ def test_trivial_case_has_no_generators():
         assert isometry.aut_generators(L) == []
 
 
-def test_to_json_shape():
-    out = isometry.to_json(M17)
-    assert out["matrix"] == [[19, 72], [-5, -19]]
-    assert "basis" in out
-
-
 conic_params = st.tuples(
     st.integers(-9, 9), st.integers(-9, 9).filter(bool), st.integers(-12, 12)
 )
@@ -491,9 +486,6 @@ def test_reflection_is_the_gram_reflection_for_every_square_2_class(L, j, sign, 
 @given(st.integers(-20, 20), st.integers(-40, 40), st.integers(1, 4))
 def test_automorph_powers_preserve_form(b, c, k):
     """Powers of the canonical infinite-order isometry stay isometries."""
-    from quartaut import pell
-    from quartaut.surface import automorph
-
     r = b * b - 8 * c
     if r <= 0 or r in (1, 4, 8) or pell.is_square(r):
         return

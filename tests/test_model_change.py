@@ -7,8 +7,9 @@ follow from the canonical model's.
 """
 from quartaut import isometry, links, pell
 from quartaut import surface as surf
-from quartaut.lattice import mat_inv_unimodular, mat_mul, mat_vec
+from quartaut.lattice import mat_inv_unimodular, mat_mul
 from quartaut.surface import QuarticLattice
+from oracles import automorph, mat_vec
 from test_links import FRAME_RS
 
 # curve data of every catalog row and its flopped curve, plus pairs off it
@@ -32,7 +33,7 @@ def _orbit(L, v, steps=6):
     the sign for square r)."""
     out = {v, (-v[0], -v[1])}
     if not pell.is_square(L.r):
-        T = surf.automorph(L)
+        T = automorph(L)
         for M in (T, mat_inv_unimodular(T)):
             w = v
             for _ in range(steps):

@@ -9,6 +9,7 @@ import runpy
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -122,28 +123,69 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == {}
 
 
-def test_every_private_module_name_is_used_in_src():
-    # a private helper whose last caller went away is dead code too
-    trees = {path.name: ast.parse(path.read_text())
+_MODULES = {path.stem for path in (SRC / "quartaut").glob("*.py")}
+
+
+def _loaded(tree: ast.AST) -> Counter:
+    """How often tree loads each name: as a bare name, an attribute or a
+    from-import, or as the attribute of a "module.name" string naming a
+    quartaut module (perfbench's tracer wraps functions by such strings)."""
+    loads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loads[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            loads[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            loads.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            module, _, name = node.value.partition(".")
+            if module in _MODULES:
+                loads[name] += 1
+    return loads
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) for each module-level def, class and assignment target,
+    and for each method of a module-level class; dunders are left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                found += [(m.name, m) for m in node.body if isinstance(m, ast.FunctionDef)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found = [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, n) for name, n in found if not name.startswith("__"))
+
+
+def test_every_module_name_has_a_user():
+    """Dead code that every import without cached bytecode compiles again.
+    A private name needs a use in src/; a public one a use in src/, a place
+    in quartaut.__all__, or a use in demos/ or perfbench/. A use inside the
+    name's own body does not count, and each public def, class or method is
+    defined once, so that a use of one cannot keep a namesake alive."""
+    trees = {path.stem: ast.parse(path.read_text())
              for path in sorted((SRC / "quartaut").glob("*.py"))}
-    loaded = {node.id if isinstance(node, ast.Name) else node.attr
-              for tree in trees.values() for node in ast.walk(tree)
-              if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
-              or isinstance(node, ast.Attribute)}
-    unused = []
+    in_src = sum((_loaded(tree) for tree in trees.values()), Counter())
+    outside = sum((_loaded(ast.parse(path.read_text()))
+                   for path in [*DEMOS, *sorted((SRC.parent / "perfbench").glob("*.py"))]),
+                  Counter())
+    exported = set(quartaut._EXPORTS.values())
+    unused, defined = [], Counter()
     for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
+        for name, node in _definitions(tree):
+            public = not name.startswith("_")
+            if public and not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                defined[name] += 1
+            if in_src[name] > _loaded(node)[name]:
                 continue
-            unused += [(module, name) for name in names
-                       if name.startswith("_") and not name.startswith("__")
-                       and name not in loaded]
-    assert unused == []
+            if public and ((module, name) in exported or outside[name]):
+                continue
+            unused.append((module, name))
+    assert (unused, [name for name, count in defined.items() if count > 1]) == ([], [])
 
 
 _REC = LinkRecord((14, 11), "P3", (14, 11), 19, 5, 19)
@@ -177,6 +219,7 @@ def test_records_keep_their_repr_and_stay_immutable(record, text):
 
 @pytest.mark.parametrize("build, message", [
     (lambda: QuarticLattice(0, 1), "discriminant must be positive"),
+    (lambda: QuarticLattice(4, 2), "discriminant must be positive \\(hyperbolic signature\\)"),
     (lambda: QuarticLattice(b=3, c=1), "discriminant 1 carries a class"),
     (lambda: GramLattice(3, 0, 2), "not an even lattice"),
     (lambda: GramLattice(2, 2, 2), "degenerate Gram matrix"),

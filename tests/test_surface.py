@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from quartaut import exclusion, pell, surface
 from quartaut.isometry import reflection
-from quartaut.lattice import IDENTITY, GramLattice, mat_inv_unimodular, mat_mul, mat_vec
+from quartaut.lattice import IDENTITY, GramLattice, mat_inv_unimodular, mat_mul
 from quartaut.surface import (
     CURVE_MODELS,
     H,
@@ -24,6 +24,7 @@ from quartaut.surface import (
     is_ample,
     realizable_gd,
 )
+from oracles import automorph, mat_vec
 
 PARTITION = {
     "Trivial": {9, 12, 16, 24, 25, 33, 36, 44, 49, 57},
@@ -430,7 +431,7 @@ def _old_walls_and_axes(L):
     least-|y| point of its orbit under the Pell automorph T, and their
     images under T and T^-1; on each side of H the least degree. With two
     walls the axis is (delta1 + delta2)/n, n^2 = delta1.delta2 - 2."""
-    T = surface.automorph(L)
+    T = automorph(L)
     steps = (T, mat_inv_unimodular(T))
 
     def least_each_side(k):
@@ -488,7 +489,7 @@ def test_reduced_cycle_against_the_pell_classes():
             assert all(lo < _point(L, D) < hi for D in neg2 + pos2), L
             assert isometry.is_isometry(L, A), L
             assert A[0][0] * A[1][1] - A[0][1] * A[1][0] == 1, L
-            T, Aj, j = surface.automorph(L), A, 1
+            T, Aj, j = automorph(L), A, 1
             while T not in (Aj, tuple(tuple(-e for e in row) for row in Aj)):
                 Aj, j = mat_mul(Aj, A), j + 1
                 assert j <= 6, L
