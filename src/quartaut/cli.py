@@ -17,7 +17,7 @@ becomes a report whose results name the error and the raising layer, with
 exit 2 or 3 respectively.
 
 Each command imports only the layers it uses, so a call pays for compiling
-those alone.
+those alone; surface and isometry import each other and load together.
 """
 from __future__ import annotations
 

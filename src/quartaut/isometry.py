@@ -11,12 +11,17 @@ descends from an actual automorphism of the surface:
   hyperbolic element below passes it.
 
 Involutions of the lattice that fix no ample class come in the one-parameter
-family involution_form; infinite-order isometries are powers of a minimal
-hyperbolic element built from the conic c*a^2 - b*a*t + 2*t^2 = c
+family involution_form; infinite-order isometries are powers of the minimal
+hyperbolic element h = ((alpha, beta), (-2*beta/c, alpha - b*beta/c)) at the
+least solution of the conic c*a^2 - b*a*t + 2*t^2 = c
 (minimal_quadeq_solution). generators_for builds the generator list inside
-surface.classify_aut; aut_generators reads it back.
+surface.classify_aut; aut_generators reads it back. This module and surface
+import each other and load together; each reads the other's names only when
+called, so either may be imported first.
 """
 from __future__ import annotations
+
+from math import gcd, isqrt
 
 from . import pell
 from . import surface as surf
@@ -74,21 +79,12 @@ def involution_form(L: surf.QuarticLattice, alpha: int, beta: int) -> Mat | None
     return ((alpha, beta), (num // L.c, -alpha))
 
 
-def infinite_order_form(L: surf.QuarticLattice, alpha: int, beta: int) -> Mat | None:
-    """The determinant-one isometry ((alpha, beta), (-2*beta/c, alpha - b*beta/c))
-    of a conic point, or None when an entry is not an integer."""
-    _check_on_conic(L, alpha, beta)
-    b, c = L.b, L.c
-    if (2 * beta) % c or (b * beta) % c:
-        return None
-    return ((alpha, beta), (-2 * beta // c, alpha - b * beta // c))
-
-
 def minimal_quadeq_solution(L: surf.QuarticLattice) -> Vec:
     """Smallest positive (alpha, beta) solving c*a^2 - b*a*t + 2*t^2 = c whose
-    infinite-order form h is integral with positive trace.
+    determinant-one isometry h = ((alpha, beta), (-2*beta/c, alpha - b*beta/c))
+    is integral with positive trace.
 
-    The form is integral exactly when c | 2*beta and c | b*beta, that is when
+    h is integral exactly when c | 2*beta and c | b*beta, that is when
     sigma = |c|/gcd(c, 2, b) divides beta, so the scan steps |beta| by sigma.
     Then alpha is a root of the monic integer polynomial
     a^2 - (b*beta/c)*a + (2*beta^2/c - 1), whose discriminant is s^2/c^2 with
@@ -103,8 +99,6 @@ def minimal_quadeq_solution(L: surf.QuarticLattice) -> Vec:
     tried first, so h's orientation depends on the model (a model change
     may invert the conjugated h); the published curve models have beta > 0.
     """
-    from math import gcd, isqrt
-
     b, c, r = L.b, L.c, L.r
     if pell.is_square(r):
         raise ValueError("no infinite-order isometry exists for square discriminant")
@@ -163,10 +157,13 @@ def _gluing_power(L: surf.QuarticLattice) -> tuple[Mat, int]:
     """(h^k, k) for the least k >= 1 at which the minimal hyperbolic element
     h satisfies gluing_ok.
 
+    h is read off the scan's conic point and is integral, as sigma | beta.
     gluing_ok(h^k) depends only on h^k mod det Q and holds once h^k ≡ I, so
     the loop is finite: the first such k bounds it.
     """
-    h = infinite_order_form(L, *minimal_quadeq_solution(L))
+    alpha, beta = minimal_quadeq_solution(L)
+    b, c = L.b, L.c
+    h = ((alpha, beta), (-2 * beta // c, alpha - b * beta // c))
     hk, k = h, 1
     while not gluing_ok(L, hk):
         hk, k = mat_mul(hk, h), k + 1

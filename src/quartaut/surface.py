@@ -427,7 +427,9 @@ def classify_aut(L: QuarticLattice) -> AutKind:
         tag = "Z2" if axes else "Trivial"
     else:
         tag = "Z2starZ2" if axes else "Z"
-    from . import isometry
-
     gens = isometry.generators_for(L, tag, axes)
     return AutKind(tag, tuple(gens), obstruction, tuple(axes))
+
+
+# last, as isometry imports this module: it reads surface's names only when called
+from . import isometry

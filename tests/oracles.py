@@ -1,6 +1,7 @@
 """Oracles that only the tests use: the matrix-vector product, matrix
-powers, and the Pell unit's action on classes. The package does not call
-them; the tests check its answers against them."""
+powers, the Pell unit's action on classes, and the infinite-order family of
+isometries. The package does not call them; the tests check its answers
+against them."""
 from quartaut import pell
 from quartaut.lattice import IDENTITY, Mat, Vec, mat_inv_unimodular, mat_mul
 from quartaut.surface import QuarticLattice
@@ -36,3 +37,17 @@ def automorph(L: QuarticLattice) -> Mat:
     """
     t, u = pell.fundamental_solution(L.r)
     return ((t - L.b * u, -2 * L.c * u), (4 * u, t + L.b * u))
+
+
+def infinite_order_form(L: QuarticLattice, alpha: int, beta: int) -> Mat | None:
+    """The determinant-one isometry ((alpha, beta), (-2*beta/c, alpha - b*beta/c))
+    of a point on the conic c*a^2 - b*a*t + 2*t^2 = c, or None when an entry
+    is not an integer. ValueError for c = 0 or a point off the conic."""
+    b, c = L.b, L.c
+    if c == 0:
+        raise ValueError("the infinite-order family is undefined for c = 0")
+    if c * alpha * alpha - b * alpha * beta + 2 * beta * beta != c:
+        raise ValueError("(%d, %d) does not solve the conic" % (alpha, beta))
+    if (2 * beta) % c or (b * beta) % c:
+        return None
+    return ((alpha, beta), (-2 * beta // c, alpha - b * beta // c))

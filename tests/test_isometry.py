@@ -11,7 +11,7 @@ from quartaut.surface import (
     curve_model,
 )
 from quartaut import isometry, pell, surface
-from oracles import automorph, mat_pow, mat_vec
+from oracles import automorph, infinite_order_form, mat_pow, mat_vec
 
 L17 = QuarticLattice(11, 13)
 M17 = ((19, 72), (-5, -19))
@@ -63,8 +63,9 @@ def test_involution_form_examples():
 
 
 def test_involution_form_rejections():
-    # both families share the conic check
-    for form in (isometry.involution_form, isometry.infinite_order_form):
+    # the shipped involution family and the oracle's infinite-order family
+    # refuse c = 0 and points off the conic alike
+    for form in (isometry.involution_form, infinite_order_form):
         with pytest.raises(ValueError):
             form(QuarticLattice(4, 0), 1, 0)  # c = 0
         with pytest.raises(ValueError):
@@ -76,7 +77,7 @@ def test_infinite_order_form_needs_c_to_divide_b_beta():
     # (-4, 3) lies on the conic -2a^2 - a*t + 2t^2 = -2 and c | 2*beta, but c does not
     # divide b*beta
     assert L.c * 16 - L.b * -4 * 3 + 2 * 9 == L.c
-    assert isometry.infinite_order_form(L, -4, 3) is None
+    assert infinite_order_form(L, -4, 3) is None
 
 
 def test_minimal_quadeq_solutions():
@@ -121,7 +122,7 @@ def test_minimal_quadeq_matches_unit_step_oracle():
                 continue
             L = QuarticLattice(b, c)
             assert isometry.minimal_quadeq_solution(L) == sol, (b, c)
-            assert isometry.infinite_order_form(L, *sol) is not None, (b, c)
+            assert infinite_order_form(L, *sol) is not None, (b, c)
             found += 1
     assert found == 327
 
@@ -139,7 +140,7 @@ def test_conic_scan_stops_at_the_automorph():
             c = (b * b - r) // 8
             L = QuarticLattice(b, c)
             t, u = pell.fundamental_solution(r)
-            assert automorph(L) == isometry.infinite_order_form(L, t - b * u, -2 * c * u), (b, c)
+            assert automorph(L) == infinite_order_form(L, t - b * u, -2 * c * u), (b, c)
             # on walled lattices 2|c|u often lies past the cap, and the scan runs to it
             if class_with_square_exists(L, -2) is not None:
                 continue
@@ -162,6 +163,18 @@ def test_minimal_quadeq_rejects_square_disc():
     for b in range(3, 13):
         with pytest.raises(ValueError, match="square discriminant"):
             isometry.minimal_quadeq_solution(QuarticLattice(b, 0))  # r = b^2
+
+
+def test_conic_cap_bounds_beta_inclusively(monkeypatch):
+    """The scan tries every multiple of sigma up to and including the cap:
+    on the r = 20 curve model (sigma = 5) the solution (4, 5) is found with
+    the cap at 5 and refused, naming the cap, with the cap at 4."""
+    L, _ = curve_model(20)
+    monkeypatch.setattr(isometry, "_QUADEQ_HARD_CAP", 5)
+    assert isometry.minimal_quadeq_solution(L) == (4, 5)
+    monkeypatch.setattr(isometry, "_QUADEQ_HARD_CAP", 4)
+    with pytest.raises(RuntimeError, match=r"\|beta\| <= 4;"):
+        isometry.minimal_quadeq_solution(L)
 
 
 def test_reflection_examples():
@@ -220,7 +233,7 @@ def _check_powers_up_to(L, h, k):
 def test_h_powers_below_exponent_fail_descent():
     for r, k in ((20, 3), (32, 2), (48, 4)):
         L, _ = curve_model(r)
-        h = isometry.infinite_order_form(L, *isometry.minimal_quadeq_solution(L))
+        h = infinite_order_form(L, *isometry.minimal_quadeq_solution(L))
         _check_powers_up_to(L, h, k)
 
 
@@ -246,7 +259,7 @@ def test_gluing_power_beyond_paper_range():
         assert isometry.is_isometry(L, g), r
         assert isometry.gluing_ok(L, g), r
         assert isometry.torelli_ok(L, g), r
-        h = isometry.infinite_order_form(L, *isometry.minimal_quadeq_solution(L))
+        h = infinite_order_form(L, *isometry.minimal_quadeq_solution(L))
         k = found[r] = isometry.minimal_gluing_exponent(L)
         assert g == mat_pow(h, k), r
         _check_powers_up_to(L, h, k)
@@ -297,7 +310,7 @@ def _closed_form_conic_solution(L):
     for s in (u, -u):
         assert (t - b // g * s) % 2 == 0, L
         alpha, beta = (t - b // g * s) // 2, -(c // g) * s
-        h = isometry.infinite_order_form(L, alpha, beta)
+        h = infinite_order_form(L, alpha, beta)
         assert h is not None, L
         if alpha > 0 and h[0][0] + h[1][1] > 0:
             return alpha, beta
@@ -321,7 +334,7 @@ def test_closed_form_conic_solution_is_the_scans_answer():
             assert isometry.minimal_quadeq_solution(L) == (alpha, beta), L
             same += 1
             continue
-        h = isometry.infinite_order_form(L, alpha, beta)
+        h = infinite_order_form(L, alpha, beta)
         assert isometry.is_isometry(L, h), L
         assert h[0][0] * h[1][1] - h[0][1] * h[1][0] == 1, L
         _, u = pell.fundamental_solution(L.r)
@@ -330,7 +343,7 @@ def test_closed_form_conic_solution_is_the_scans_answer():
     assert (same, past) == (1233, 676)
     for r in CONIC_CAP_RS:
         L = QuarticLattice.from_disc(r)
-        h = isometry.infinite_order_form(L, *_closed_form_conic_solution(L))
+        h = infinite_order_form(L, *_closed_form_conic_solution(L))
         glued = [hk for hk in (mat_pow(h, k) for k in (1, 2, 3)) if isometry.gluing_ok(L, hk)]
         assert glued, r
         assert isometry.torelli_ok(L, glued[0]), r

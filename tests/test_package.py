@@ -45,6 +45,9 @@ print(code, sorted(m for m in sys.modules if m.split(".")[0] == "quartaut"), fil
     (["pell", "--r", "17", "--n", "8"], {"quartaut.pell"}),
     (["link"], {"quartaut.links", "quartaut.lattice"}),
     (["exclusion"], {"quartaut.exclusion"}),
+    (["curve-class", "--r", "41", "--genus", "6", "--degree", "9"],
+     {"quartaut.surface", "quartaut.isometry", "quartaut.pell", "quartaut.lattice",
+      "quartaut.exclusion"}),
 ])
 def test_cli_imports_only_the_layers_a_command_uses(argv, modules):
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
@@ -53,6 +56,27 @@ def test_cli_imports_only_the_layers_a_command_uses(argv, modules):
     code, loaded = proc.stderr.strip().splitlines()[-1].split(" ", 1)
     assert code == "0", proc.stderr
     assert ast.literal_eval(loaded) == sorted({"quartaut", "quartaut.cli"} | modules)
+
+
+_CYCLE = """
+import importlib
+import sys
+importlib.import_module(sys.argv[1])
+from quartaut.surface import classify_aut, curve_model
+kind = classify_aut(curve_model(20)[0])
+print(kind.tag, kind.generators)
+"""
+
+
+@pytest.mark.parametrize("first", ["quartaut.isometry", "quartaut.surface"])
+def test_surface_and_isometry_import_in_either_order(first):
+    # surface imports isometry at its end and isometry imports surface at
+    # its top; in a fresh interpreter either may load first
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", _CYCLE, first],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "Z (((29, 40), (-8, -11)),)\n"
 
 
 _STDLIB_ONLY = """

@@ -1,4 +1,5 @@
 """Class existence, the genus/degree dictionary, and the Aut classifier."""
+import builtins
 from fractions import Fraction
 from math import isqrt
 
@@ -423,6 +424,25 @@ def test_classification_runs_no_pell_solver_on_any_r(monkeypatch):
                 refused[layer] += not walls
     assert square == 29
     assert tuple(refused.values()) == (25, 40)
+
+
+def test_classification_runs_no_import_statement(monkeypatch):
+    """Once the layers are loaded, classify_aut runs no import statement on
+    any tag: surface imports isometry, and isometry gcd and isqrt, once at
+    module level. One canonical model of each tag, and the Z models r = 65
+    and 84 past the paper's range."""
+    models = [QuarticLattice.from_disc(min(rs)) for rs in PARTITION.values()]
+    models += [QuarticLattice.from_disc(r) for r in (65, 84)]
+    warm = [classify_aut(L) for L in models]
+
+    def no_import(name, *args, **kwargs):
+        raise AssertionError("classify_aut imported %r" % (name,))
+
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "__import__", no_import)
+        kinds = [classify_aut(L) for L in models]
+    assert kinds == warm
+    assert [kind.tag for kind in kinds] == [*PARTITION, "Z", "Z"]
 
 
 def _old_walls_and_axes(L):
